@@ -54,9 +54,8 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if obj is True:
@@ -207,22 +206,8 @@ def cmd_experiment(args) -> int:
         **{k: as_fraction(v) for k, v in fspec.items()},
     )
     exp = growth_experiment(problem, fam, cfg["indices"], grid)
-    th = float(problem.theta)
     lines = ["index,target_norm,source0_norm,source1_norm,ratio"]
-    from .harness import eval_norm, space_norm_spec
-
-    top = fam.j0 + max(exp.indices) - 1
-    lo, hi = grid.shell_bounds
-    rng = (max(fam.j0 - 1, lo), min(top + 1, hi))
-    from dataclasses import replace as dc_replace
-
-    from .testfuncs import build_family as _build
-
-    for count, ratio in zip(exp.indices, exp.ratios):
-        field = _build(dc_replace(fam, index=count), grid)
-        tn = eval_norm(field, space_norm_spec(problem.scale, problem.target, rng))
-        s0 = eval_norm(field, space_norm_spec(problem.scale, problem.source0, rng))
-        s1 = eval_norm(field, space_norm_spec(problem.scale, problem.source1, rng))
+    for count, (tn, s0, s1), ratio in zip(exp.indices, exp.norms, exp.ratios):
         lines.append(
             f"{count},{format_float(tn)},{format_float(s0)},{format_float(s1)},{format_float(ratio)}"
         )
@@ -371,10 +356,16 @@ def _cstar_cache_path(n: int, beta: float, grid: Grid) -> Path:
 
 
 def cstar_cached(n: int, beta: float, grid: Grid) -> float:
+    """Cached estimate; an unreadable entry, or one without a finite value,
+    is a miss and is rewritten."""
     path = _cstar_cache_path(n, beta, grid)
-    if path.exists():
+    try:
         with open(path) as fh:
-            return float(json.load(fh)["value"])
+            value = float(json.load(fh)["value"])
+    except (OSError, ValueError, KeyError, TypeError):
+        value = math.nan
+    if math.isfinite(value):
+        return value
     est = estimate_cstar(n, beta, grid)
     atomic_write(path, canonical_json({"value": est.value}) + "\n")
     return est.value

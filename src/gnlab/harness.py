@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .checker import GNProblem, Scale, SpaceTriple, Verdict, auto_check
-from .norms import NormFamily, NormSpec, besov_norm, lp_norm, sobolev_norm, triebel_norm
+from .norms import NormFamily, NormSpec, norm_values
 from .rational import as_fraction
 from .spectral import Field, Grid
 from .testfuncs import FamilyKind, LacunaryFamily, build_family, random_band_limited
@@ -53,16 +53,6 @@ def space_norm_spec(
     raise ValueError(f"unsupported scale {scale}")
 
 
-def eval_norm(field: Field, spec: NormSpec) -> float:
-    if spec.family is NormFamily.LEBESGUE:
-        return lp_norm(field, spec.p)
-    if spec.family in (NormFamily.HOMOG_BESOV, NormFamily.INHOMOG_BESOV):
-        return besov_norm(field, spec)
-    if spec.family in (NormFamily.HOMOG_TRIEBEL, NormFamily.INHOMOG_TRIEBEL):
-        return triebel_norm(field, spec)
-    return sobolev_norm(field, spec)
-
-
 def transpose_to_1d(problem: GNProblem) -> GNProblem:
     """One-dimensional section with 1/p' = n * (1/p) for every space.
 
@@ -81,20 +71,34 @@ def transpose_to_1d(problem: GNProblem) -> GNProblem:
     )
 
 
+def gn_norms(
+    field: Field,
+    problem: GNProblem,
+    shell_range: Optional[Tuple[int, int]] = None,
+) -> Tuple[float, float, float]:
+    """(target, source0, source1) norms of one field from one shell stack."""
+    triples = (problem.target, problem.source0, problem.source1)
+    specs = [space_norm_spec(problem.scale, tr, shell_range) for tr in triples]
+    t, a, b = norm_values(field, specs)
+    return t, a, b
+
+
+def _ratio(norms: Tuple[float, float, float], theta: Fraction) -> float:
+    t, a, b = norms
+    th = float(theta)
+    denom = a ** (1.0 - th) * b ** th
+    if denom == 0.0 or not math.isfinite(denom):
+        raise ZeroDivisionError("degenerate field: source norms vanish or blow up")
+    return t / denom
+
+
 def gn_ratio(
     field: Field,
     problem: GNProblem,
     shell_range: Optional[Tuple[int, int]] = None,
 ) -> float:
     """R = target-norm / (source0^(1-theta) * source1^theta)."""
-    th = float(problem.theta)
-    t = eval_norm(field, space_norm_spec(problem.scale, problem.target, shell_range))
-    a = eval_norm(field, space_norm_spec(problem.scale, problem.source0, shell_range))
-    b = eval_norm(field, space_norm_spec(problem.scale, problem.source1, shell_range))
-    denom = a ** (1.0 - th) * b ** th
-    if denom == 0.0 or not math.isfinite(denom):
-        raise ZeroDivisionError("degenerate field: source norms vanish or blow up")
-    return t / denom
+    return _ratio(gn_norms(field, problem, shell_range), problem.theta)
 
 
 def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -108,6 +112,7 @@ class RatioExperiment:
     problem: GNProblem
     family: LacunaryFamily
     indices: List[int]
+    norms: List[Tuple[float, float, float]]  # (target, source0, source1) per index
     ratios: List[float]
     fitted_slope: float
     axis: str  # "count" for amplitude trains, "log2count" for cardinality trains
@@ -179,11 +184,11 @@ def growth_experiment(
     top = family.j0 + max(indices) - 1
     lo, hi = grid.shell_bounds
     shell_range = (max(family.j0 - 1, lo), min(top + 1, hi))
-    ratios = []
-    for count in indices:
-        member = replace(family, index=count)
-        field = build_family(member, grid)
-        ratios.append(gn_ratio(field, problem, shell_range))
+    norms = [
+        gn_norms(build_family(replace(family, index=count), grid), problem, shell_range)
+        for count in indices
+    ]
+    ratios = [_ratio(triple, problem.theta) for triple in norms]
     if family.cardinality_type:
         axis = "log2count"
         xs = [math.log2(i) for i in indices]
@@ -191,7 +196,9 @@ def growth_experiment(
         axis = "count"
         xs = list(map(float, indices))
     slope = fit_slope(xs, [math.log2(r) for r in ratios])
-    return RatioExperiment(problem, family, indices, ratios, slope, axis, auto_check(problem))
+    return RatioExperiment(
+        problem, family, indices, norms, ratios, slope, axis, auto_check(problem)
+    )
 
 
 def random_ratio_sweep(
@@ -253,8 +260,8 @@ def convexity_check(
             shell_range=shell_range,
         )
 
-    lhs = besov_norm(field, bspec(target))
+    lhs, *parts = norm_values(field, [bspec(target)] + [bspec(tr) for tr, _ in components])
     rhs = 1.0
-    for tr, th in components:
-        rhs *= besov_norm(field, bspec(tr)) ** float(th)
+    for part, (_, th) in zip(parts, components):
+        rhs *= part ** float(th)
     return ConvexityReport(lhs, rhs, target, lhs <= rhs * (1.0 + slack))

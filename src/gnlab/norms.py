@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .spectral import (
     DEFAULT_PROFILE,
     CutoffProfile,
-    Domain,
     Field,
     FracLaplacian,
     Bessel,
+    Grid,
     apply_symbol,
     lowpass_multiplier,
     shell_multiplier,
@@ -46,6 +46,7 @@ class NormFamily(Enum):
 _BESOV = (NormFamily.HOMOG_BESOV, NormFamily.INHOMOG_BESOV)
 _TRIEBEL = (NormFamily.HOMOG_TRIEBEL, NormFamily.INHOMOG_TRIEBEL)
 _SOBOLEV = (NormFamily.HOMOG_SOBOLEV, NormFamily.BESSEL_SOBOLEV)
+_INHOMOG = (NormFamily.INHOMOG_BESOV, NormFamily.INHOMOG_TRIEBEL)
 
 
 @dataclass(frozen=True)
@@ -84,22 +85,23 @@ class NormResult:
         }
 
 
-def lp_norm(field: Field, p: float) -> float:
-    """(sum |f|^p w)^(1/p) with w = spacing^n; p = inf is the grid max."""
+def _lp(mag: np.ndarray, p: float, w: float) -> float:
+    """(sum mag^p w)^(1/p) of a nonnegative array; p = inf is its max."""
     if not p > 0:
         raise ValueError("p must be positive")
-    phys = to_physical(field)
-    mag = np.abs(phys.data)
     if math.isinf(p):
         return float(mag.max())
-    w = field.grid.quadrature_weight
     return float((np.sum(mag ** p) * w) ** (1.0 / p))
 
 
-def _resolve_shells(field: Field, spec: NormSpec) -> List[int]:
-    grid = field.grid
+def lp_norm(field: Field, p: float) -> float:
+    """(sum |f|^p w)^(1/p) with w = spacing^n; p = inf is the grid max."""
+    return _lp(np.abs(to_physical(field).data), p, field.grid.quadrature_weight)
+
+
+def _resolve_shells(grid: Grid, spec: NormSpec) -> range:
     lo, hi = grid.shell_bounds
-    inhomog = spec.family in (NormFamily.INHOMOG_BESOV, NormFamily.INHOMOG_TRIEBEL)
+    inhomog = spec.family in _INHOMOG
     if spec.shell_range is not None:
         klo, khi = spec.shell_range
         if klo > khi:
@@ -115,12 +117,7 @@ def _resolve_shells(field: Field, spec: NormSpec) -> List[int]:
         khi = grid.k_max
     if inhomog:
         klo = max(klo, 1)
-    return list(range(klo, khi + 1))
-
-
-def _shell_lp(hat: Field, k: int, p: float, profile: CutoffProfile) -> float:
-    piece = hat.with_data(hat.data * shell_multiplier(hat.grid, k, profile))
-    return lp_norm(to_physical(piece), p)
+    return range(klo, khi + 1)
 
 
 def _lq_reduce(terms: List[float], q: float) -> float:
@@ -132,6 +129,90 @@ def _lq_reduce(terms: List[float], q: float) -> float:
     return acc ** (1.0 / q)
 
 
+def _shell_stack(hat: Field, specs: Sequence[NormSpec], profile: CutoffProfile) -> List[float]:
+    """Besov and Triebel values from one pass over the union of their shells.
+
+    Besov: l^q over shells of 2^(ks) ||Delta_k f||_p.  Triebel: L^p norm of
+    the pointwise l^q aggregate of 2^(ks) |Delta_k f|.  The inhomogeneous
+    variants replace shells k <= 0 by the low-pass block (key None), which
+    enters with weight 1.  Pieces come low-pass block first, then shells in
+    ascending order; each is freed before the next is built.
+    """
+    grid = hat.grid
+    w = grid.quadrature_weight
+    weights = []
+    for spec in specs:
+        wk = {k: 2.0 ** (k * spec.s) for k in _resolve_shells(grid, spec)}
+        weights.append({None: 1.0, **wk} if spec.family in _INHOMOG else wk)
+    terms: List[List[float]] = [[] for _ in specs]
+    aggs = [np.zeros(grid.shape) if spec.family in _TRIEBEL else None for spec in specs]
+    for k in sorted(set().union(*weights), key=lambda k: -math.inf if k is None else k):
+        if k is None:
+            mult = lowpass_multiplier(grid, profile)
+        else:
+            mult = shell_multiplier(grid, k, profile)
+        piece = np.fft.ifftn(hat.data * mult)
+        del mult
+        piece /= w
+        mag = np.abs(piece)
+        del piece
+        for i, spec in enumerate(specs):
+            if k not in weights[i]:
+                continue
+            if spec.family in _BESOV:
+                terms[i].append(weights[i][k] * _lp(mag, spec.p, w))
+            elif math.isinf(spec.q):
+                aggs[i] = np.maximum(aggs[i], mag * weights[i][k])
+            else:
+                aggs[i] += (mag * weights[i][k]) ** spec.q
+        del mag
+    values = []
+    for spec, spec_terms, agg in zip(specs, terms, aggs):
+        if agg is None:
+            values.append(_lq_reduce(spec_terms, spec.q))
+            continue
+        if not math.isinf(spec.q):
+            agg = agg ** (1.0 / spec.q)
+        values.append(_lp(agg, spec.p, w))
+    return values
+
+
+def norm_values(
+    field: Field,
+    specs: Sequence[NormSpec],
+    profile: CutoffProfile = DEFAULT_PROFILE,
+) -> List[float]:
+    """Values of several norms of one field, in the order of `specs`.
+
+    One forward transform (none for a field in Fourier form) serves every
+    spec.  Besov and Triebel specs share one inverse transform per distinct
+    shell in the union of their shells, not one per spec and shell; each
+    value equals its one-spec value exactly.
+    Lebesgue and Sobolev specs take their direct paths.  Besov and Triebel
+    norms of the zero field are 0.
+    """
+    for spec in specs:
+        if spec.family in _TRIEBEL and math.isinf(spec.p):
+            raise ValueError("triebel_norm requires p < inf")
+    values = [0.0] * len(specs)
+    families = {spec.family for spec in specs}
+    phys = to_physical(field) if NormFamily.LEBESGUE in families else None
+    hat = to_fourier(field) if families - {NormFamily.LEBESGUE} else None
+    stacked = []
+    for i, spec in enumerate(specs):
+        if spec.family is NormFamily.LEBESGUE:
+            values[i] = lp_norm(phys, spec.p)
+        elif spec.family in _SOBOLEV:
+            values[i] = sobolev_norm(hat, spec)
+        else:
+            stacked.append(i)
+    if stacked and np.any(hat.data):
+        shell_values = _shell_stack(hat, [specs[i] for i in stacked], profile)
+        for i, value in zip(stacked, shell_values):
+            values[i] = value
+    return values
+
+
 def besov_norm(field: Field, spec: NormSpec, profile: CutoffProfile = DEFAULT_PROFILE) -> float:
     """l^q over shells of 2^(ks) ||shell_k f||_p.
 
@@ -140,43 +221,14 @@ def besov_norm(field: Field, spec: NormSpec, profile: CutoffProfile = DEFAULT_PR
     """
     if spec.family not in _BESOV:
         raise ValueError(f"besov_norm got family {spec.family}")
-    hat = to_fourier(field)
-    if not np.any(hat.data):
-        return 0.0
-    shells = _resolve_shells(field, spec)
-    terms = [2.0 ** (k * spec.s) * _shell_lp(hat, k, spec.p, profile) for k in shells]
-    if spec.family is NormFamily.INHOMOG_BESOV:
-        low = hat.with_data(hat.data * lowpass_multiplier(field.grid, profile))
-        terms.insert(0, lp_norm(to_physical(low), spec.p))
-    return _lq_reduce(terms, spec.q)
+    return norm_values(field, [spec], profile)[0]
 
 
 def triebel_norm(field: Field, spec: NormSpec, profile: CutoffProfile = DEFAULT_PROFILE) -> float:
     """L^p norm of the pointwise l^q aggregate over shells; p < inf only."""
     if spec.family not in _TRIEBEL:
         raise ValueError(f"triebel_norm got family {spec.family}")
-    if math.isinf(spec.p):
-        raise ValueError("triebel_norm requires p < inf")
-    hat = to_fourier(field)
-    if not np.any(hat.data):
-        return 0.0
-    grid = field.grid
-    shells = _resolve_shells(field, spec)
-    mults = [shell_multiplier(grid, k, profile) for k in shells]
-    weights = [2.0 ** (k * spec.s) for k in shells]
-    if spec.family is NormFamily.INHOMOG_TRIEBEL:
-        mults.insert(0, lowpass_multiplier(grid, profile))
-        weights.insert(0, 1.0)
-    agg = np.zeros(grid.shape)
-    for wk, mult in zip(weights, mults):
-        piece = np.abs(to_physical(hat.with_data(hat.data * mult)).data) * wk
-        if math.isinf(spec.q):
-            agg = np.maximum(agg, piece)
-        else:
-            agg += piece ** spec.q
-    if not math.isinf(spec.q):
-        agg = agg ** (1.0 / spec.q)
-    return lp_norm(Field(grid, Domain.PHYSICAL, agg), spec.p)
+    return norm_values(field, [spec], profile)[0]
 
 
 def sobolev_norm(field: Field, spec: NormSpec) -> float:
@@ -201,22 +253,11 @@ def sobolev_norm(field: Field, spec: NormSpec) -> float:
 def compute_norm(field: Field, spec: NormSpec) -> NormResult:
     """Facade returning the value plus shell range and warning flags."""
     warnings = []
-    negative_order = spec.s < 0 or (
-        spec.family is NormFamily.BESSEL_SOBOLEV and spec.m2 == 0 and spec.s < 0
-    )
     if spec.family in _SOBOLEV and spec.s < 0 and spec.m2 == 0:
         if zero_mode_fraction(field) > ZERO_MODE_TOLERANCE:
             warnings.append("zero-mode dropped under a negative-order symbol")
-    if spec.family is NormFamily.LEBESGUE:
-        value = lp_norm(field, spec.p)
-        rng = None
-    elif spec.family in _BESOV:
-        value = besov_norm(field, spec)
+    value = norm_values(field, [spec])[0]
+    rng = None
+    if spec.family in _BESOV or spec.family in _TRIEBEL:
         rng = spec.shell_range or (field.grid.k_min, field.grid.k_max)
-    elif spec.family in _TRIEBEL:
-        value = triebel_norm(field, spec)
-        rng = spec.shell_range or (field.grid.k_min, field.grid.k_max)
-    else:
-        value = sobolev_norm(field, spec)
-        rng = None
     return NormResult(spec.family, spec.s, spec.p, spec.q, value, rng, tuple(warnings))

@@ -164,14 +164,6 @@ class Field:
         return Field(self.grid, domain or self.domain, data)
 
 
-def field_from_array(grid: Grid, data: np.ndarray, domain: Domain = Domain.PHYSICAL) -> Field:
-    return Field(grid, domain, data)
-
-
-def zero_field(grid: Grid, domain: Domain = Domain.PHYSICAL) -> Field:
-    return Field(grid, domain, np.zeros(grid.shape, dtype=np.complex128))
-
-
 def transform(field: Field, direction: Domain) -> Field:
     """Transform to `direction`; errors if the field is already there."""
     if field.domain == direction:
@@ -227,14 +219,31 @@ class CutoffProfile:
 DEFAULT_PROFILE = CutoffProfile()
 
 
+@lru_cache(maxsize=16)
+def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct lattice radii and, per lattice point, the index of its radius.
+
+    Radial multipliers are evaluated on the few thousand levels and gathered
+    back; the cutoffs are elementwise, so this is bit-identical to evaluating
+    them on the full radius array.
+    """
+    levels, inverse = np.unique(_freq_radius(n, m, length), return_inverse=True)
+    inverse = inverse.astype(np.int32).reshape((m,) * n)
+    levels.flags.writeable = False
+    inverse.flags.writeable = False
+    return levels, inverse
+
+
 def shell_multiplier(grid: Grid, k: int, profile: CutoffProfile = DEFAULT_PROFILE) -> np.ndarray:
     """phi(2^-k |xi|) on the lattice."""
-    return profile.phi(grid.freq_radius() * (2.0 ** (-k)))
+    levels, inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
+    return profile.phi(levels * (2.0 ** (-k)))[inverse]
 
 
 def lowpass_multiplier(grid: Grid, profile: CutoffProfile = DEFAULT_PROFILE) -> np.ndarray:
     """psi(|xi|) on the lattice (the inhomogeneous low block)."""
-    return profile.psi(grid.freq_radius())
+    levels, inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
+    return profile.psi(levels)[inverse]
 
 
 def _check_shell(grid: Grid, k: int) -> None:
@@ -251,12 +260,6 @@ def dyadic_project(field: Field, k: int, profile: CutoffProfile = DEFAULT_PROFIL
     _check_shell(field.grid, k)
     hat = to_fourier(field)
     out = hat.with_data(hat.data * shell_multiplier(field.grid, k, profile))
-    return out if field.domain is Domain.FOURIER else to_physical(out)
-
-
-def lowpass_project(field: Field, profile: CutoffProfile = DEFAULT_PROFILE) -> Field:
-    hat = to_fourier(field)
-    out = hat.with_data(hat.data * lowpass_multiplier(field.grid, profile))
     return out if field.domain is Domain.FOURIER else to_physical(out)
 
 
@@ -278,16 +281,16 @@ def partition_check(grid: Grid, profile: CutoffProfile = DEFAULT_PROFILE) -> Par
     r = grid.freq_radius()
     total = np.zeros_like(r)
     for k in range(grid.k_min, grid.k_max + 1):
-        total += profile.phi(r * 2.0 ** (-k))
+        total += shell_multiplier(grid, k, profile)
     annulus = (r >= 2.0 ** grid.k_min) & (r <= 2.0 ** grid.k_max)
     if not annulus.any():
         raise ValueError("grid resolves no complete annulus")
     dev = float(np.max(np.abs(total[annulus] - 1.0)))
     origin = float(total.flat[0])
 
-    inhom = profile.psi(r)
+    inhom = lowpass_multiplier(grid, profile)
     for k in range(1, grid.k_max + 1):
-        inhom += profile.phi(r * 2.0 ** (-k))
+        inhom += shell_multiplier(grid, k, profile)
     inside = r <= 2.0 ** grid.k_max
     dev_inhom = float(np.max(np.abs(inhom[inside] - 1.0)))
     return PartitionReport(dev, origin, dev_inhom)

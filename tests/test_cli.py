@@ -233,6 +233,24 @@ class TestCStarCommand:
         assert doc["cstar"] > 0
 
 
+    @pytest.mark.parametrize("damaged", ['{"val', '{"value": NaN}\n', "[]\n"])
+    def test_damaged_cache_entry_is_a_miss(self, tmp_path, monkeypatch, damaged):
+        from gnlab.spectral import make_grid
+
+        monkeypatch.setenv("GNLAB_CACHE_DIR", str(tmp_path / "cache"))
+        path = cli._cstar_cache_path(3, 2.0, make_grid(3, 16, 12.0))
+        path.parent.mkdir(parents=True)
+        path.write_text(damaged)
+        args = ["cstar", "--n", "3", "--beta", "2", "--points", "16", "--box-length", "12"]
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        value = json.loads(proc.stdout)["cstar"]
+        assert value > 0
+        assert json.loads(path.read_text()) == {"value": value}
+        again = run_cli(args, tmp_path)
+        assert again.stdout == proc.stdout
+
+
 class TestCanonicalJson:
     def test_float_formatting(self):
         assert cli.format_float(1.0) == "1"

@@ -1,5 +1,6 @@
 """Ratio experiments, slope fits, convexity bound, regression table."""
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,7 @@ from gnlab.checker import GNProblem, Scale, SpaceTriple, Status
 from gnlab.harness import (
     convexity_check,
     eps_bump_family_for,
+    gn_norms,
     gn_ratio,
     growth_experiment,
     random_ratio_sweep,
@@ -22,7 +24,7 @@ from gnlab.regression import (
     triebel_blowup_case,
 )
 from gnlab.spectral import make_grid
-from gnlab.testfuncs import random_band_limited
+from gnlab.testfuncs import build_family, random_band_limited
 
 
 def t(s, p, q="inf"):
@@ -100,6 +102,17 @@ class TestGrowthExperiments:
         short = growth_experiment(case.problem, case.family, (4, 5, 6, 7), g)
         full = growth_experiment(case.problem, case.family, tuple(range(4, 12)), g)
         assert abs(full.fitted_slope - short.fitted_slope) < 0.2 * abs(full.fitted_slope)
+
+    def test_norms_carried_per_index(self):
+        case = eps_blowup_case(points=2 ** 12)
+        g = case_grid(case, 2 ** 12)
+        exp = growth_experiment(case.problem, case.family, (4, 5, 6, 7), g)
+        lo, hi = g.shell_bounds
+        rng = (max(case.family.j0 - 1, lo), min(case.family.j0 + 7, hi))  # top index 7
+        for count, norms, ratio in zip(exp.indices, exp.norms, exp.ratios):
+            field = build_family(replace(case.family, index=count), g)
+            assert norms == gn_norms(field, case.problem, rng)
+            assert ratio == gn_ratio(field, case.problem, rng)
 
     def test_requires_four_indices(self):
         case = eps_blowup_case(points=2 ** 12)

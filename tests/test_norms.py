@@ -11,10 +11,11 @@ from gnlab.norms import (
     besov_norm,
     compute_norm,
     lp_norm,
+    norm_values,
     sobolev_norm,
     triebel_norm,
 )
-from gnlab.spectral import Domain, Field, dilate, make_grid, to_physical
+from gnlab.spectral import DEFAULT_PROFILE, Domain, Field, dilate, make_grid, to_fourier, to_physical
 from gnlab.testfuncs import gaussian, random_band_limited
 
 
@@ -208,6 +209,90 @@ class TestSobolevNorm:
         assert any("zero-mode" in w for w in res.warnings)
         res2 = compute_norm(f, NormSpec(NormFamily.HOMOG_SOBOLEV, 0.5, 2.0))
         assert res2.warnings == ()
+
+
+def _one_spec_value(f, spec):
+    if spec.family is NormFamily.LEBESGUE:
+        return lp_norm(f, spec.p)
+    if spec.family in (NormFamily.HOMOG_BESOV, NormFamily.INHOMOG_BESOV):
+        return besov_norm(f, spec)
+    if spec.family in (NormFamily.HOMOG_TRIEBEL, NormFamily.INHOMOG_TRIEBEL):
+        return triebel_norm(f, spec)
+    return sobolev_norm(f, spec)
+
+
+def _reference_shell_norm(f, spec):
+    """Besov or Triebel norm one shell at a time, through Field transforms
+    and the cutoff evaluated on the whole lattice."""
+    g = f.grid
+    hat = to_fourier(f)
+    r = g.freq_radius()
+    inhomog = spec.family in (NormFamily.INHOMOG_BESOV, NormFamily.INHOMOG_TRIEBEL)
+    klo, khi = spec.shell_range or (1 if inhomog else g.k_min, g.k_max)
+    blocks = [(1.0, DEFAULT_PROFILE.psi(r))] if inhomog else []
+    blocks += [(2.0 ** (k * spec.s), DEFAULT_PROFILE.phi(r * 2.0 ** (-k)))
+               for k in range(max(klo, 1) if inhomog else klo, khi + 1)]
+    pieces = [(wk, to_physical(hat.with_data(hat.data * mult))) for wk, mult in blocks]
+    if spec.family in (NormFamily.HOMOG_BESOV, NormFamily.INHOMOG_BESOV):
+        terms = [wk * lp_norm(piece, spec.p) for wk, piece in pieces]
+        if math.isinf(spec.q):
+            return max(terms)
+        acc = 0.0
+        for t in terms:
+            acc += t ** spec.q
+        return acc ** (1.0 / spec.q)
+    agg = np.zeros(g.shape)
+    for wk, piece in pieces:
+        if math.isinf(spec.q):
+            agg = np.maximum(agg, np.abs(piece.data) * wk)
+        else:
+            agg += (np.abs(piece.data) * wk) ** spec.q
+    if not math.isinf(spec.q):
+        agg = agg ** (1.0 / spec.q)
+    return lp_norm(Field(g, Domain.PHYSICAL, agg), spec.p)
+
+
+class TestNormValues:
+    """One shell stack per field: every value equals its one-spec value, and
+    every Besov and Triebel value equals the shell-by-shell reference."""
+
+    MIXED = [
+        NormSpec(NormFamily.HOMOG_BESOV, 0.5, 2.0, 2.0),
+        NormSpec(NormFamily.INHOMOG_TRIEBEL, -0.25, 1.5, math.inf),
+        NormSpec(NormFamily.LEBESGUE, 0.0, 4.0),
+        NormSpec(NormFamily.INHOMOG_BESOV, 1.0, math.inf, 0.75),
+        NormSpec(NormFamily.HOMOG_TRIEBEL, 0.5, 3.0, 2.0, shell_range=(2, 4)),
+        NormSpec(NormFamily.HOMOG_SOBOLEV, 0.5, 2.0),
+        NormSpec(NormFamily.HOMOG_BESOV, -1.0, 4.0, math.inf, shell_range=(1, 3)),
+        NormSpec(NormFamily.BESSEL_SOBOLEV, 1.0, 3.0, m2=1.0),
+        NormSpec(NormFamily.INHOMOG_TRIEBEL, 0.5, 2.0, 2.0, shell_range=(-1, 4)),
+        NormSpec(NormFamily.LEBESGUE, 0.0, math.inf),
+    ]
+
+    @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64)])
+    def test_mixed_lists_equal_one_spec_values(self, n, m):
+        g = make_grid(n, m, 4 * math.pi)
+        hat = random_band_limited(g, 0, g.k_max, seed=7)
+        for f in (hat, to_physical(hat)):
+            expected = [_one_spec_value(f, spec) for spec in self.MIXED]
+            assert norm_values(f, self.MIXED) == expected
+            for spec, value in zip(self.MIXED, expected):
+                if spec.family not in (NormFamily.LEBESGUE, NormFamily.HOMOG_SOBOLEV,
+                                       NormFamily.BESSEL_SOBOLEV):
+                    assert value == _reference_shell_norm(f, spec)
+            assert norm_values(f, self.MIXED[::-1]) == expected[::-1]
+            assert norm_values(f, self.MIXED[3:5]) == expected[3:5]
+
+    def test_zero_field_and_errors(self):
+        g = make_grid(1, 256, 2 * math.pi)
+        z = Field(g, Domain.PHYSICAL, np.zeros(256))
+        assert norm_values(z, self.MIXED) == [0.0] * len(self.MIXED)
+        assert norm_values(z, []) == []
+        f = random_band_limited(g, 2, 4, seed=0)
+        with pytest.raises(ValueError, match="p < inf"):
+            norm_values(f, self.MIXED + [bspec(0.0, math.inf, 2.0, family=NormFamily.HOMOG_TRIEBEL)])
+        with pytest.raises(ValueError, match="outside the representable window"):
+            norm_values(f, self.MIXED + [bspec(0.0, 2.0, 2.0, shell_range=(0, 40))])
 
 
 class TestNormResult:

@@ -8,6 +8,7 @@ from gnlab.fieldio import read_gnf, write_gnf
 from gnlab.norms import lp_norm
 from gnlab.spectral import (
     Bessel,
+    CutoffProfile,
     DEFAULT_PROFILE,
     Domain,
     Field,
@@ -16,9 +17,11 @@ from gnlab.spectral import (
     apply_symbol,
     dilate,
     dyadic_project,
+    lowpass_multiplier,
     make_grid,
     partition_check,
     riesz_constant,
+    shell_multiplier,
     to_fourier,
     to_physical,
     transform,
@@ -114,6 +117,31 @@ class TestCutoff:
         assert rep.max_deviation <= 1e-12
         assert rep.max_deviation_inhomog <= 1e-12
         assert rep.origin_value == 0.0  # homogeneous sum excludes the origin
+
+
+class TestMultipliers:
+    """Multipliers gathered from the per-grid radius table equal the cutoffs
+    evaluated on the full radius array, bit for bit."""
+
+    @pytest.mark.parametrize("n,m", [(1, 2 ** 16), (2, 256), (3, 64)])
+    @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, CutoffProfile(0.9, 1.7)])
+    def test_equal_to_direct_evaluation(self, n, m, profile):
+        g = make_grid(n, m, 4 * math.pi)
+        r = g.freq_radius()
+        lo, hi = g.shell_bounds
+        for k in range(lo, hi + 1):  # guard shells included
+            assert np.array_equal(shell_multiplier(g, k, profile), profile.phi(r * 2.0 ** (-k)))
+        assert np.array_equal(lowpass_multiplier(g, profile), profile.psi(r))
+
+    def test_returned_arrays_are_private(self):
+        g = make_grid(2, 64, 4 * math.pi)
+        r = g.freq_radius()
+        shell = shell_multiplier(g, 2)
+        low = lowpass_multiplier(g)
+        shell[...] = 7.0
+        low[...] = 7.0
+        assert np.array_equal(shell_multiplier(g, 2), DEFAULT_PROFILE.phi(r * 0.25))
+        assert np.array_equal(lowpass_multiplier(g), DEFAULT_PROFILE.psi(r))
 
 
 class TestDyadicProject:
