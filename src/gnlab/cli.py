@@ -399,8 +399,6 @@ def cmd_regimes(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gnlab", description=__doc__)
-    ap.add_argument("--threads", type=int, default=0,
-                    help="cap worker threads (best effort; computations are deterministic)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="run a parameter checker on a problem JSON")
@@ -490,9 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads and args.threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return args.fn(args)
     except (ValueError, TypeError, KeyError, FileNotFoundError, ZeroDivisionError) as exc:

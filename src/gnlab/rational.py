@@ -55,7 +55,3 @@ def format_exponent_from_inv(inv: Fraction) -> str:
     if inv == 0:
         return INFINITY
     return format_rational(1 / inv)
-
-
-def parse_rational(text: RationalLike) -> Fraction:
-    return as_fraction(text)

@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .rational import as_fraction
 from .spectral import (
     Bessel,
     Domain,
@@ -161,11 +163,6 @@ class EnergyParams:
             raise ValueError("m^2 must be nonnegative")
 
 
-def _check_beta(grid: Grid, beta: float) -> None:
-    if not (0 < beta < grid.n):
-        raise ValueError(f"beta must lie in (0, n); got {beta} with n={grid.n}")
-
-
 def _inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     return float(np.sum(f * g).real * grid.quadrature_weight)
 
@@ -174,72 +171,83 @@ def mass(grid: Grid, f: np.ndarray) -> float:
     return _inner(grid, f, f)
 
 
-def _quad_form(grid: Grid, arr: np.ndarray, s: float, m2: float) -> float:
-    """(1/L^n) sum (m^2 + |xi|^2)^s |f^|^2 (the squared s-energy norm)."""
-    hat = np.fft.fftn(arr) * grid.quadrature_weight
-    w = symbol_values(grid, Bessel(2.0 * s, m2))
+def _form(grid: Grid, raw: np.ndarray, w: np.ndarray) -> float:
+    """(1/L^n) sum w |f^|^2 from the raw spectrum raw = fftn(f)."""
+    hat = raw * grid.quadrature_weight
     return float(np.sum(w * np.abs(hat) ** 2) / grid.box_length ** grid.n)
 
 
-def _riesz_quadform(grid: Grid, density: np.ndarray, beta: float) -> float:
-    """<rho, V * rho> via the Fourier identity, zero mode dropped."""
-    _check_beta(grid, beta)
-    hat = np.fft.fftn(density) * grid.quadrature_weight
-    w = symbol_values(grid, RieszPotential(beta))
-    raw = float(np.sum(w * np.abs(hat) ** 2) / grid.box_length ** grid.n)
-    return riesz_constant(grid.n, beta) * raw
+def _quad_form(grid: Grid, arr: np.ndarray, s: float, m2: float) -> float:
+    """(1/L^n) sum (m^2 + |xi|^2)^s |f^|^2 (the squared s-energy norm)."""
+    return _form(grid, np.fft.fftn(arr), symbol_values(grid, Bessel(2.0 * s, m2)))
 
 
-def _riesz_convolve(grid: Grid, density: np.ndarray, beta: float) -> np.ndarray:
-    """V * rho as a physical array."""
-    _check_beta(grid, beta)
-    hat = np.fft.fftn(density)
-    out = np.fft.ifftn(hat * symbol_values(grid, RieszPotential(beta)))
-    return riesz_constant(grid.n, beta) * out.real
+def _energy_symbols(grid: Grid, params: EnergyParams) -> Tuple[np.ndarray, np.ndarray]:
+    """Symbols of the quadratic form and of V (which checks beta), built once per solve."""
+    return (
+        symbol_values(grid, Bessel(2.0 * params.s, params.m2)),
+        symbol_values(grid, RieszPotential(params.beta)),
+    )
+
+
+def _evaluate(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols):
+    """Energy at the components arrs, with the raw spectra fftn(u_i) and
+    fftn(G(u)) it was computed from: L + 1 forward FFTs."""
+    w_quad, w_riesz = symbols
+    hats = [np.fft.fftn(arr) for arr in arrs]
+    quad = 0.0
+    for hat in hats:
+        quad += _form(grid, hat, w_quad)
+    g_hat = np.fft.fftn(g_value(params.G, arrs))
+    inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz)
+    return 0.5 * quad - inter, hats, g_hat
+
+
+def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> List[np.ndarray]:
+    """L^2 gradient (m^2 - Lap)^s u_i - 2 (V * G(u)) dG/dv_i from the spectra
+    of _evaluate at the same point: L + 1 inverse FFTs."""
+    w_quad, w_riesz = symbols
+    conv = riesz_constant(grid.n, params.beta) * np.fft.ifftn(g_hat * w_riesz).real
+    return [
+        np.fft.ifftn(w_quad * hat).real - 2.0 * conv * g_partial(params.G, arrs, i)
+        for i, hat in enumerate(hats)
+    ]
 
 
 def upsilon_beta(u: MultiField, beta: float) -> float:
     """Interaction functional of the total density |u|^2 = sum u_i^2."""
     grid = u.grid
-    rho = np.zeros(grid.shape)
-    for arr in u.arrays():
-        rho += arr ** 2
-    return _riesz_quadform(grid, rho, beta)
+    w = symbol_values(grid, RieszPotential(beta))
+    rho = sum(arr ** 2 for arr in u.arrays())
+    return riesz_constant(grid.n, beta) * _form(grid, np.fft.fftn(rho), w)
 
 
 def energy(u: MultiField, params: EnergyParams) -> float:
-    grid = u.grid
-    quad = 0.0
-    for arr in u.arrays():
-        quad += _quad_form(grid, arr, params.s, params.m2)
-    inter = _riesz_quadform(grid, g_value(params.G, u.arrays()), params.beta)
-    return 0.5 * quad - inter
+    return _evaluate(u.grid, u.arrays(), params, _energy_symbols(u.grid, params))[0]
 
 
 def energy_gradient(u: MultiField, params: EnergyParams) -> List[Field]:
     """L^2 gradient: (m^2 - Lap)^s u_i - 2 (V * G(u)) dG/dv_i."""
-    grid = u.grid
-    arrs = u.arrays()
-    conv = _riesz_convolve(grid, g_value(params.G, arrs), params.beta)
-    w = symbol_values(grid, Bessel(2.0 * params.s, params.m2))
+    grid, arrs = u.grid, u.arrays()
+    symbols = _energy_symbols(grid, params)
+    grads = _gradient(grid, arrs, params, symbols, *_evaluate(grid, arrs, params, symbols)[1:])
+    return [Field(grid, Domain.PHYSICAL, g) for g in grads]
+
+
+def _project(grid: Grid, arrs: Sequence[np.ndarray], masses: Sequence[float]) -> List[np.ndarray]:
     out = []
-    for i, arr in enumerate(arrs):
-        quad_part = np.fft.ifftn(w * np.fft.fftn(arr)).real
-        grad = quad_part - 2.0 * conv * g_partial(params.G, arrs, i)
-        out.append(Field(grid, Domain.PHYSICAL, grad))
+    for arr, c in zip(arrs, masses):
+        norm2 = mass(grid, arr)
+        if norm2 <= 0:
+            raise ValueError("cannot project a zero component onto its sphere")
+        out.append(arr * math.sqrt(c / norm2))
     return out
 
 
 def project_spheres(u: MultiField) -> MultiField:
     """Rescale each component onto its mass sphere ||u_i||_2^2 = c_i."""
-    grid = u.grid
-    comps = []
-    for arr, c in zip(u.arrays(), u.masses):
-        norm2 = mass(grid, arr)
-        if norm2 <= 0:
-            raise ValueError("cannot project a zero component onto its sphere")
-        comps.append(Field(grid, Domain.PHYSICAL, arr * math.sqrt(c / norm2)))
-    return MultiField(tuple(comps), u.masses)
+    comps = _project(u.grid, u.arrays(), u.masses)
+    return MultiField(tuple(Field(u.grid, Domain.PHYSICAL, a) for a in comps), u.masses)
 
 
 @lru_cache(maxsize=16)
@@ -258,27 +266,18 @@ def _radial_order(n: int, m: int, length: float) -> np.ndarray:
     return order
 
 
-def schwarz_rearrange(field: Field) -> Field:
-    """Grid Schwarz symmetrization: |values| sorted decreasingly along the
-    distance-from-origin order (lexicographic tie-break)."""
-    grid = field.grid
-    phys = to_physical(field)
-    vals = np.sort(np.abs(phys.data.real).ravel())[::-1]
+def _rearrange(grid: Grid, arr: np.ndarray) -> np.ndarray:
+    vals = np.sort(np.abs(arr).ravel())[::-1]
     order = _radial_order(grid.n, grid.points_per_dim, grid.box_length)
     out = np.empty(vals.size)
     out[order] = vals
-    return Field(grid, Domain.PHYSICAL, out.reshape(grid.shape))
+    return out.reshape(grid.shape)
 
 
-def radially_nonincreasing(field: Field, tol: float = 1e-8) -> bool:
-    """Strict check in the sorted-distance order (exact for rearrangement
-    outputs; grid anisotropy makes converged minimizers fail it at the
-    sub-percent level, use monotone_along_rays for those)."""
-    grid = field.grid
-    order = _radial_order(grid.n, grid.points_per_dim, grid.box_length)
-    vals = to_physical(field).data.real.ravel()[order]
-    peak = float(np.abs(vals).max()) or 1.0
-    return bool(np.all(np.diff(vals) <= tol * peak))
+def schwarz_rearrange(field: Field) -> Field:
+    """Grid Schwarz symmetrization: |values| sorted decreasingly along the
+    distance-from-origin order (lexicographic tie-break)."""
+    return Field(field.grid, Domain.PHYSICAL, _rearrange(field.grid, to_physical(field).data.real))
 
 
 def monotone_along_rays(field: Field, tol: float = 1e-8) -> bool:
@@ -336,10 +335,6 @@ class DivergenceError(RuntimeError):
     progress while the gradient is still large."""
 
 
-def _tangent(grid: Grid, g: np.ndarray, uarr: np.ndarray, c: float) -> np.ndarray:
-    return g - (_inner(grid, g, uarr) / c) * uarr
-
-
 def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
     """Projected gradient descent with backtracking line search.
 
@@ -351,23 +346,20 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     increase.  Terminates once the relative energy decrease over the trailing
     window drops below tol.
     """
-    grid = u0.grid
-    _check_beta(grid, params.beta)
-    u = project_spheres(u0)
-    e = energy(u, params)
+    grid, masses = u0.grid, u0.masses
+    symbols = _energy_symbols(grid, params)
+    pre = symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0)))
+    arrs = _project(grid, u0.arrays(), masses)
+    e, hats, g_hat = _evaluate(grid, arrs, params, symbols)
     if math.isnan(e):
         raise DivergenceError("initial energy is NaN")
     trace = [e]
-    pre = symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0)))
     converged = False
     message = ""
     it = 0
     for it in range(1, options.max_iters + 1):
-        grads = [g.data.real for g in energy_gradient(u, params)]
-        arrs = u.arrays()
-        tangents = [
-            _tangent(grid, g, a, c) for g, a, c in zip(grads, arrs, u.masses)
-        ]
+        grads = _gradient(grid, arrs, params, symbols, hats, g_hat)
+        tangents = [g - (_inner(grid, g, a) / c) * a for g, a, c in zip(grads, arrs, masses)]
         dirs = [np.fft.ifftn(pre * np.fft.fftn(t)).real for t in tangents]
         slope = sum(_inner(grid, t, d) for t, d in zip(tangents, dirs))
         if slope <= 0:
@@ -381,21 +373,18 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
         step = options.initial_step
         accepted = False
         for _ in range(40):
-            cand_arrays = [np.maximum(a - step * d, 0.0) for a, d in zip(arrs, dirs)]
             try:
-                cand = project_spheres(MultiField(
-                    tuple(Field(grid, Domain.PHYSICAL, ca) for ca in cand_arrays),
-                    u.masses,
-                ))
+                cand = _project(grid, [np.maximum(a - step * d, 0.0) for a, d in zip(arrs, dirs)], masses)
             except ValueError:
                 step *= 0.5
                 continue
-            e_cand = energy(cand, params)
-            if math.isnan(e_cand):
+            cand_eval = _evaluate(grid, cand, params, symbols)
+            if math.isnan(cand_eval[0]):
                 raise DivergenceError(f"energy NaN at iteration {it}")
-            if e_cand <= e - options.armijo * step * slope:
+            if cand_eval[0] <= e - options.armijo * step * slope:
                 accepted = True
                 break
+            cand_eval = None  # free the rejected spectra before the next candidate
             step *= 0.5
         if not accepted:
             grad_scale = math.sqrt(sum(_inner(grid, t, t) for t in tangents))
@@ -406,16 +395,15 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
             raise DivergenceError(
                 f"line search failed at iteration {it} with energy {e:.6g}"
             )
-        u, e = cand, e_cand
+        arrs, (e, hats, g_hat) = cand, cand_eval
+        del cand, cand_eval  # a kept rearrangement must not leave these alive
 
         if options.rearrange_every > 0 and it % options.rearrange_every == 0:
-            rearranged = MultiField(
-                tuple(schwarz_rearrange(f) for f in u.components), u.masses
-            )
-            rearranged = project_spheres(rearranged)
-            e_r = energy(rearranged, params)
-            if e_r <= e:
-                u, e = rearranged, e_r
+            rearranged = _project(grid, [_rearrange(grid, a) for a in arrs], masses)
+            r_eval = _evaluate(grid, rearranged, params, symbols)
+            if r_eval[0] <= e:
+                arrs, (e, hats, g_hat) = rearranged, r_eval
+            del rearranged, r_eval  # nor a rejected one its spectra
         trace.append(e)
 
         if len(trace) > options.window:
@@ -426,15 +414,16 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
                 message = "energy plateau"
                 break
 
-    grads = [g.data.real for g in energy_gradient(u, params)]
+    grads = _gradient(grid, arrs, params, symbols, hats, g_hat)
     multipliers = []
     residual = 0.0
-    for g, arr, c in zip(grads, u.arrays(), u.masses):
+    for g, arr, c in zip(grads, arrs, masses):
         r_i = -_inner(grid, g, arr) / c
         multipliers.append(r_i)
         num = math.sqrt(mass(grid, g + r_i * arr))
         den = math.sqrt(mass(grid, arr))
         residual = max(residual, num / den)
+    u = MultiField(tuple(Field(grid, Domain.PHYSICAL, a) for a in arrs), masses)
     return MinimizeResult(u, trace, multipliers, residual, converged, it, message)
 
 
@@ -449,12 +438,22 @@ class CStarEstimate:
     starts: int
 
 
-def _quotient(grid: Grid, arr: np.ndarray, beta: float, s: float) -> float:
+def _ascent_eval(grid: Grid, arr: np.ndarray, beta: float, w_hs: np.ndarray, w_riesz: np.ndarray):
+    """Quotient at arr, with the state an ascent step from arr needs:
+    (mass, H^s form, Upsilon, fftn(arr), fftn(arr^2))."""
+    hat = np.fft.fftn(arr)
     a = mass(grid, arr)
-    b = _quad_form(grid, arr, s, 0.0)
-    if a <= 0 or b <= 0:
-        return 0.0
-    return _riesz_quadform(grid, arr ** 2, beta) / (a * b)
+    b = _form(grid, hat, w_hs)
+    rho_hat = np.fft.fftn(arr ** 2)
+    ups = riesz_constant(grid.n, beta) * _form(grid, rho_hat, w_riesz)
+    q = ups / (a * b) if a > 0 and b > 0 else 0.0
+    return q, (a, b, ups, hat, rho_hat)
+
+
+def _quotient(grid: Grid, arr: np.ndarray, beta: float, s: float) -> float:
+    w_hs = symbol_values(grid, FracLaplacian(2.0 * s))
+    w_riesz = symbol_values(grid, RieszPotential(beta))
+    return _ascent_eval(grid, arr, beta, w_hs, w_riesz)[0]
 
 
 def estimate_cstar(
@@ -472,8 +471,9 @@ def estimate_cstar(
     """
     if grid.n != n:
         raise ValueError("grid dimension mismatch")
-    _check_beta(grid, beta)
+    w_riesz = symbol_values(grid, RieszPotential(beta))
     s = (n - beta) / 2.0
+    w_hs = symbol_values(grid, FracLaplacian(2.0 * s))
     starts: List[np.ndarray] = []
     r2 = grid.coord_radius2()
     for frac in (8.0, 12.0, 20.0):
@@ -488,18 +488,14 @@ def estimate_cstar(
     best_arr = None
     for arr0 in starts:
         arr = arr0 / math.sqrt(mass(grid, arr0))
-        q = _quotient(grid, arr, beta, s)
+        q, state = _ascent_eval(grid, arr, beta, w_hs, w_riesz)
         for _ in range(max_iters):
-            ups = _riesz_quadform(grid, arr ** 2, beta)
-            a = mass(grid, arr)
-            b = _quad_form(grid, arr, s, 0.0)
+            a, b, ups, hat, rho_hat = state
             if ups <= 0 or b <= 0:
                 break
-            conv = _riesz_convolve(grid, arr ** 2, beta)
+            conv = riesz_constant(grid.n, beta) * np.fft.ifftn(rho_hat * w_riesz).real
             grad_ups = 4.0 * conv * arr
-            grad_b = 2.0 * np.fft.ifftn(
-                symbol_values(grid, FracLaplacian(2.0 * s)) * np.fft.fftn(arr)
-            ).real
+            grad_b = 2.0 * np.fft.ifftn(w_hs * hat).real
             d = grad_ups / ups - (2.0 / a) * arr - grad_b / b
             dn = math.sqrt(mass(grid, d))
             if dn < 1e-14:
@@ -512,9 +508,9 @@ def estimate_cstar(
                 mcand = mass(grid, cand)
                 if mcand > 0:
                     cand = cand / math.sqrt(mcand)
-                    qc = _quotient(grid, cand, beta, s)
+                    qc, cand_state = _ascent_eval(grid, cand, beta, w_hs, w_riesz)
                     if qc > q * (1.0 + 1e-12):
-                        arr, q = cand, qc
+                        arr, q, state = cand, qc, cand_state
                         improved = True
                         break
                 step *= 0.5
@@ -548,9 +544,10 @@ def scaling_profile(u: MultiField, params: EnergyParams, lambdas: Sequence[float
     homogeneity-d nonlinearity, so arbitrary lambda > 0 are admissible.
     """
     grid = u.grid
-    _check_beta(grid, params.beta)
     d = g_degree(params.G)
-    inter = _riesz_quadform(grid, g_value(params.G, u.arrays()), params.beta)
+    w_riesz = symbol_values(grid, RieszPotential(params.beta))
+    g_hat = np.fft.fftn(g_value(params.G, u.arrays()))
+    inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz)
     r = grid.freq_radius()
     hats = [np.abs(np.fft.fftn(a) * grid.quadrature_weight) ** 2 for a in u.arrays()]
     vol = grid.box_length ** grid.n
@@ -608,6 +605,11 @@ class RegimeReport:
 _REL_TOL = 1e-9
 
 
+def _exact(x) -> Fraction:
+    """A float is read as the decimal it prints as, so 2.2 is 11/5."""
+    return Fraction(str(float(x))) if isinstance(x, (float, np.floating)) else as_fraction(x)
+
+
 def regime_classify(
     n: int,
     beta: float,
@@ -619,20 +621,22 @@ def regime_classify(
 ) -> RegimeReport:
     """Exact case analysis of minimizer existence for the given parameters.
 
+    n, beta, s, m2 and the exponents of G are compared as exact rationals.
     cstar is the (estimated) sharp interaction constant; the mass threshold
-    is 1/(2 cstar).  Comparisons against the threshold use a 1e-9 relative
-    tolerance, and reports near the threshold are flagged as
+    is 1/(2 cstar).  Comparisons against the threshold are floats with a
+    1e-9 relative tolerance, and reports near the threshold are flagged as
     estimate-limited.
     """
+    n, beta, s, m2 = (_exact(x) for x in (n, beta, s, m2))
     if not (0 < beta < n):
         return RegimeReport(Regime.OUT_OF_SCOPE, "invalid", note="beta outside (0, n)")
     if s <= 0 or c <= 0 or cstar <= 0 or m2 < 0:
         return RegimeReport(Regime.OUT_OF_SCOPE, "invalid", note="parameters out of range")
-    s_crit = (n - beta) / 2.0
+    s_crit = (n - beta) / 2
 
     if isinstance(G, ProductPowers):
-        alpha = sum(G.alphas)
-        margin = n + beta - n * alpha + 2.0 * s
+        alpha = sum(_exact(a) for a in G.alphas)
+        margin = n + beta - n * alpha + 2 * s
         if margin < 0:
             return RegimeReport(
                 Regime.MINUS_INFINITY,
@@ -655,8 +659,9 @@ def regime_classify(
                             note="s < (n - beta)/2")
 
     # sum-of-powers kinds
+    mu = _exact(G.mu)
     if s > s_crit:
-        if G.mu < 1.0 + (2.0 * s + beta) / n:
+        if mu < 1 + (2 * s + beta) / n:
             return RegimeReport(Regime.MINIMIZER_EXISTS, "supercritical-smoothness")
         return RegimeReport(
             Regime.OUT_OF_SCOPE, "supercritical-growth",
@@ -665,7 +670,7 @@ def regime_classify(
     if s < s_crit:
         return RegimeReport(Regime.MINUS_INFINITY, "subcritical-smoothness",
                             note="s < (n - beta)/2")
-    if G.mu != 2.0:
+    if mu != 2:
         return RegimeReport(
             Regime.OUT_OF_SCOPE, "critical-growth",
             note="critical smoothness requires the quadratic nonlinearity",
@@ -764,7 +769,6 @@ def g_conditions_check(
         zero_ok = L == 1  # sums do not vanish on a single zero component
 
     mode = "componentwise" if isinstance(G, ProductPowers) else "common"
-    scaling_failures = 0
     base = rng.uniform(0.0, 2.0, size=(sample_count, L))
     if mode == "componentwise":
         ts = rng.uniform(1.0, 5.0, size=(sample_count, L))

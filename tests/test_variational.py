@@ -3,6 +3,7 @@ constrained descent, sharp-constant search, profiles, regime classification."""
 import math
 import pathlib
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -295,6 +296,19 @@ class TestMinimize:
         res = minimize(u0, params, MinimizeOptions(max_iters=50, tol=1e-12))
         assert mass(grid, res.u_final.arrays()[0]) == pytest.approx(1.5, rel=1e-10)
 
+    def test_two_components_distinct_masses(self):
+        grid = make_grid(2, 32, 12.0)
+        params = EnergyParams(s=1.0, m2=0.5, beta=1.0, G=ProductPowers((1.0, 1.0)))
+        masses = (1.0, 0.6)
+        u0 = MultiField((positive_random_field(grid, 1), positive_random_field(grid, 2)), masses)
+        res = minimize(u0, params, MinimizeOptions(max_iters=60, tol=1e-12))
+        for arr, c in zip(res.u_final.arrays(), masses):
+            assert abs(mass(grid, arr) - c) < 1e-10
+        assert len(res.multipliers) == 2
+        assert res.iterations > 1
+        for a, b in zip(res.energy_trace, res.energy_trace[1:]):
+            assert b <= a
+
     def test_nan_detected(self):
         grid = make_grid(1, 64, 8.0)
         params = EnergyParams(s=1.0, m2=0.0, beta=0.5, G=sum_squares())
@@ -314,6 +328,17 @@ class TestCStar:
             probe = positive_random_field(grid, seed).data.real
             q = _quotient(grid, probe, 2.0, 0.5)
             assert q <= est.value * 1.01
+
+    def test_extra_starts(self):
+        grid = make_grid(3, 16, 12.0)
+        est = estimate_cstar(3, 2.0, grid, max_iters=30, seeds=(3,))
+        assert est.starts == 3 + 1
+        again = estimate_cstar(3, 2.0, grid, max_iters=30, seeds=(3,), extra_starts=(est.argmax,))
+        assert again.starts == 3 + 1 + 1
+        assert again.value >= est.value
+        alone = estimate_cstar(3, 2.0, grid, max_iters=30, seeds=(), extra_starts=(est.argmax, est.argmax))
+        assert alone.starts == 3 + 0 + 2
+        assert alone.value >= est.value * (1.0 - 1e-12)
 
     def test_quotient_scale_invariance(self):
         """The quotient's free part is dilation invariant.  On the torus the
@@ -378,6 +403,17 @@ class TestRegimes:
     def test_product_growth_violation(self):
         rep = regime_classify(3, 1.0, 0.5, 0.0, 1.0, 1.0, ProductPowers((3.0,)))
         assert rep.regime is Regime.MINUS_INFINITY
+
+    def test_critical_decided_exactly(self):
+        """n=3, beta=2.2, s=0.4 is critical: s == (n-beta)/2 holds for 11/5
+        and 2/5 but not in binary floating point."""
+        rep = regime_classify(3, 2.2, 0.4, 0.0, 1.0, 1.0, sum_squares())
+        assert rep.case == "critical-massless"
+        assert rep.regime is Regime.MINUS_INFINITY  # c = 1 > 1/(2 cstar)
+        exact = regime_classify(3, Fraction(11, 5), "2/5", 0, 1.0, 1.0, sum_squares())
+        assert exact == rep
+        with pytest.raises(ValueError):
+            regime_classify(3, math.nan, 0.4, 0.0, 1.0, 1.0, sum_squares())
 
     def test_out_of_scope_parameters(self):
         rep = regime_classify(3, 3.5, 1.0, 0.0, 1.0, 1.0, sum_squares())
