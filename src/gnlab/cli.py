@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -20,6 +21,8 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+import gnlab
 
 from . import fieldio
 from .checker import GNProblem, check_by_rule, auto_check
@@ -349,8 +352,16 @@ def cmd_minimize(args) -> int:
 
 
 def _cstar_cache_path(n: int, beta: float, grid: Grid) -> Path:
+    """The key covers the problem, the settings cstar_cached runs the
+    estimator with (its defaults) and the package version, so an entry
+    written under other settings or by another release is a miss."""
     cache_dir = Path(os.environ.get("GNLAB_CACHE_DIR", Path.home() / ".cache" / "gnlab"))
-    key = f"{n}|{beta:.17g}|{grid.points_per_dim}|{grid.box_length:.17g}"
+    defaults = inspect.signature(estimate_cstar).parameters
+    settings = f"{defaults['max_iters'].default}|{tuple(defaults['seeds'].default)}"
+    key = (
+        f"{n}|{beta:.17g}|{grid.points_per_dim}|{grid.box_length:.17g}"
+        f"|{settings}|{gnlab.__version__}"
+    )
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_dir / f"cstar-{digest}.json"
 

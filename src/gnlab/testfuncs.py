@@ -98,11 +98,6 @@ class LacunaryFamily:
             return Fraction(1)
         return self.lam * j
 
-    def predicted_besov_slope(self, sigma: float) -> float:
-        """For amplitude trains: d log2(Besov norm) / d count at smoothness
-        sigma (valid once sigma + a > 0)."""
-        return float(sigma + self.amplitude_exponent)
-
     @property
     def cardinality_type(self) -> bool:
         """True when the norm grows like count^(1/q) (flat weighted shells)."""

@@ -171,34 +171,54 @@ def mass(grid: Grid, f: np.ndarray) -> float:
     return _inner(grid, f, f)
 
 
+# Every field here is real, so every spectrum is a half spectrum
+# rfftn(f): the last axis keeps the planes 0..m/2, and the rest of the
+# lattice is their Hermitian mirror.  Symbols are radial, hence even, and
+# are sliced to the same half lattice.
+
+
+def _half(w: np.ndarray) -> np.ndarray:
+    """A full-lattice symbol restricted to the half lattice of rfftn."""
+    return np.ascontiguousarray(w[..., : w.shape[-1] // 2 + 1])
+
+
+def _irfft(grid: Grid, hat: np.ndarray) -> np.ndarray:
+    return np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(grid.n)))
+
+
 def _form(grid: Grid, raw: np.ndarray, w: np.ndarray) -> float:
-    """(1/L^n) sum w |f^|^2 from the raw spectrum raw = fftn(f)."""
+    """(1/L^n) sum w |f^|^2 over the full lattice, from the half spectrum
+    raw = rfftn(f).  The mirror of an interior plane of the last axis is
+    absent from raw, so those planes count twice; the planes 0 and m/2 are
+    their own mirrors (m is even) and count once."""
     hat = raw * grid.quadrature_weight
-    return float(np.sum(w * np.abs(hat) ** 2) / grid.box_length ** grid.n)
+    p = w * np.abs(hat) ** 2
+    total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
+    return float(total / grid.box_length ** grid.n)
 
 
 def _quad_form(grid: Grid, arr: np.ndarray, s: float, m2: float) -> float:
     """(1/L^n) sum (m^2 + |xi|^2)^s |f^|^2 (the squared s-energy norm)."""
-    return _form(grid, np.fft.fftn(arr), symbol_values(grid, Bessel(2.0 * s, m2)))
+    return _form(grid, np.fft.rfftn(arr), _half(symbol_values(grid, Bessel(2.0 * s, m2))))
 
 
 def _energy_symbols(grid: Grid, params: EnergyParams) -> Tuple[np.ndarray, np.ndarray]:
     """Symbols of the quadratic form and of V (which checks beta), built once per solve."""
     return (
-        symbol_values(grid, Bessel(2.0 * params.s, params.m2)),
-        symbol_values(grid, RieszPotential(params.beta)),
+        _half(symbol_values(grid, Bessel(2.0 * params.s, params.m2))),
+        _half(symbol_values(grid, RieszPotential(params.beta))),
     )
 
 
 def _evaluate(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols):
-    """Energy at the components arrs, with the raw spectra fftn(u_i) and
-    fftn(G(u)) it was computed from: L + 1 forward FFTs."""
+    """Energy at the components arrs, with the half spectra rfftn(u_i) and
+    rfftn(G(u)) it was computed from: L + 1 forward FFTs."""
     w_quad, w_riesz = symbols
-    hats = [np.fft.fftn(arr) for arr in arrs]
+    hats = [np.fft.rfftn(arr) for arr in arrs]
     quad = 0.0
     for hat in hats:
         quad += _form(grid, hat, w_quad)
-    g_hat = np.fft.fftn(g_value(params.G, arrs))
+    g_hat = np.fft.rfftn(g_value(params.G, arrs))
     inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz)
     return 0.5 * quad - inter, hats, g_hat
 
@@ -207,9 +227,9 @@ def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> L
     """L^2 gradient (m^2 - Lap)^s u_i - 2 (V * G(u)) dG/dv_i from the spectra
     of _evaluate at the same point: L + 1 inverse FFTs."""
     w_quad, w_riesz = symbols
-    conv = riesz_constant(grid.n, params.beta) * np.fft.ifftn(g_hat * w_riesz).real
+    conv = riesz_constant(grid.n, params.beta) * _irfft(grid, g_hat * w_riesz)
     return [
-        np.fft.ifftn(w_quad * hat).real - 2.0 * conv * g_partial(params.G, arrs, i)
+        _irfft(grid, w_quad * hat) - 2.0 * conv * g_partial(params.G, arrs, i)
         for i, hat in enumerate(hats)
     ]
 
@@ -217,9 +237,9 @@ def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> L
 def upsilon_beta(u: MultiField, beta: float) -> float:
     """Interaction functional of the total density |u|^2 = sum u_i^2."""
     grid = u.grid
-    w = symbol_values(grid, RieszPotential(beta))
+    w = _half(symbol_values(grid, RieszPotential(beta)))
     rho = sum(arr ** 2 for arr in u.arrays())
-    return riesz_constant(grid.n, beta) * _form(grid, np.fft.fftn(rho), w)
+    return riesz_constant(grid.n, beta) * _form(grid, np.fft.rfftn(rho), w)
 
 
 def energy(u: MultiField, params: EnergyParams) -> float:
@@ -348,7 +368,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     """
     grid, masses = u0.grid, u0.masses
     symbols = _energy_symbols(grid, params)
-    pre = symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0)))
+    pre = _half(symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0))))
     arrs = _project(grid, u0.arrays(), masses)
     e, hats, g_hat = _evaluate(grid, arrs, params, symbols)
     if math.isnan(e):
@@ -360,7 +380,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     for it in range(1, options.max_iters + 1):
         grads = _gradient(grid, arrs, params, symbols, hats, g_hat)
         tangents = [g - (_inner(grid, g, a) / c) * a for g, a, c in zip(grads, arrs, masses)]
-        dirs = [np.fft.ifftn(pre * np.fft.fftn(t)).real for t in tangents]
+        dirs = [_irfft(grid, pre * np.fft.rfftn(t)) for t in tangents]
         slope = sum(_inner(grid, t, d) for t, d in zip(tangents, dirs))
         if slope <= 0:
             dirs = tangents
@@ -440,19 +460,19 @@ class CStarEstimate:
 
 def _ascent_eval(grid: Grid, arr: np.ndarray, beta: float, w_hs: np.ndarray, w_riesz: np.ndarray):
     """Quotient at arr, with the state an ascent step from arr needs:
-    (mass, H^s form, Upsilon, fftn(arr), fftn(arr^2))."""
-    hat = np.fft.fftn(arr)
+    (mass, H^s form, Upsilon, rfftn(arr), rfftn(arr^2))."""
+    hat = np.fft.rfftn(arr)
     a = mass(grid, arr)
     b = _form(grid, hat, w_hs)
-    rho_hat = np.fft.fftn(arr ** 2)
+    rho_hat = np.fft.rfftn(arr ** 2)
     ups = riesz_constant(grid.n, beta) * _form(grid, rho_hat, w_riesz)
     q = ups / (a * b) if a > 0 and b > 0 else 0.0
     return q, (a, b, ups, hat, rho_hat)
 
 
 def _quotient(grid: Grid, arr: np.ndarray, beta: float, s: float) -> float:
-    w_hs = symbol_values(grid, FracLaplacian(2.0 * s))
-    w_riesz = symbol_values(grid, RieszPotential(beta))
+    w_hs = _half(symbol_values(grid, FracLaplacian(2.0 * s)))
+    w_riesz = _half(symbol_values(grid, RieszPotential(beta)))
     return _ascent_eval(grid, arr, beta, w_hs, w_riesz)[0]
 
 
@@ -471,9 +491,9 @@ def estimate_cstar(
     """
     if grid.n != n:
         raise ValueError("grid dimension mismatch")
-    w_riesz = symbol_values(grid, RieszPotential(beta))
+    w_riesz = _half(symbol_values(grid, RieszPotential(beta)))
     s = (n - beta) / 2.0
-    w_hs = symbol_values(grid, FracLaplacian(2.0 * s))
+    w_hs = _half(symbol_values(grid, FracLaplacian(2.0 * s)))
     starts: List[np.ndarray] = []
     r2 = grid.coord_radius2()
     for frac in (8.0, 12.0, 20.0):
@@ -493,9 +513,9 @@ def estimate_cstar(
             a, b, ups, hat, rho_hat = state
             if ups <= 0 or b <= 0:
                 break
-            conv = riesz_constant(grid.n, beta) * np.fft.ifftn(rho_hat * w_riesz).real
+            conv = riesz_constant(grid.n, beta) * _irfft(grid, rho_hat * w_riesz)
             grad_ups = 4.0 * conv * arr
-            grad_b = 2.0 * np.fft.ifftn(w_hs * hat).real
+            grad_b = 2.0 * _irfft(grid, w_hs * hat)
             d = grad_ups / ups - (2.0 / a) * arr - grad_b / b
             dn = math.sqrt(mass(grid, d))
             if dn < 1e-14:
@@ -545,18 +565,17 @@ def scaling_profile(u: MultiField, params: EnergyParams, lambdas: Sequence[float
     """
     grid = u.grid
     d = g_degree(params.G)
-    w_riesz = symbol_values(grid, RieszPotential(params.beta))
-    g_hat = np.fft.fftn(g_value(params.G, u.arrays()))
+    w_riesz = _half(symbol_values(grid, RieszPotential(params.beta)))
+    g_hat = np.fft.rfftn(g_value(params.G, u.arrays()))
     inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz)
-    r = grid.freq_radius()
-    hats = [np.abs(np.fft.fftn(a) * grid.quadrature_weight) ** 2 for a in u.arrays()]
-    vol = grid.box_length ** grid.n
+    r = _half(grid.freq_radius())
+    hats = [np.fft.rfftn(a) for a in u.arrays()]
     energies = []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("lambda must be positive")
         w = (params.m2 + (lam * r) ** 2) ** params.s
-        quad = sum(float(np.sum(w * h)) for h in hats) / vol
+        quad = sum(_form(grid, h, w) for h in hats)
         energies.append(0.5 * quad - lam ** (d * grid.n - grid.n - params.beta) * inter)
     exponent = _tail_exponent(list(lambdas), energies)
     return ScalingProfile(list(lambdas), energies, exponent)

@@ -251,6 +251,18 @@ class TestCStarCommand:
         assert again.stdout == proc.stdout
 
 
+    def test_cache_path_keyed_on_version(self, tmp_path, monkeypatch):
+        import gnlab
+        from gnlab.spectral import make_grid
+
+        monkeypatch.setenv("GNLAB_CACHE_DIR", str(tmp_path / "cache"))
+        grid = make_grid(3, 16, 12.0)
+        before = cli._cstar_cache_path(3, 2.0, grid)
+        assert cli._cstar_cache_path(3, 2.0, grid) == before
+        monkeypatch.setattr(gnlab, "__version__", gnlab.__version__ + ".post1")
+        assert cli._cstar_cache_path(3, 2.0, grid) != before
+
+
 class TestCanonicalJson:
     def test_float_formatting(self):
         assert cli.format_float(1.0) == "1"

@@ -206,6 +206,64 @@ class TestGradient:
             assert grad[pt] == pytest.approx(expected, rel=1e-6)
 
 
+class TestHalfSpectrum:
+    """Real transforms: the half-spectrum forms and gradients equal their
+    full complex-lattice counterparts.  The fields carry strong content in
+    the zero plane and the Nyquist plane of the last axis, which the fold in
+    _form counts once, so double-counting or dropping either plane fails."""
+
+    CASES = [(1, 64, 10.0, 0.5), (2, 16, 8.0, 1.0), (3, 8, 6.0, 2.0)]
+
+    @staticmethod
+    def edge_heavy(grid, seed):
+        rng = np.random.default_rng(seed)
+        last = np.arange(grid.points_per_dim)
+        nyquist = (-1.0) ** last  # only the plane m/2 of the last axis
+        shape = grid.shape[:-1] + (1,)
+        across = 1.0 + 0.3 * rng.random(shape)  # only the plane 0
+        return 2.0 + across + 0.7 * across * nyquist + 0.2 * rng.random(grid.shape)
+
+    @pytest.mark.parametrize("n,m,box,beta", CASES)
+    def test_form_folds_edge_planes_once(self, n, m, box, beta):
+        from gnlab.spectral import Bessel, RieszPotential, symbol_values
+        from gnlab.variational import _form, _half
+
+        grid = make_grid(n, m, box)
+        f = self.edge_heavy(grid, 5)
+        full = np.fft.fftn(f) * grid.quadrature_weight
+        for symbol in (Bessel(1.5, 0.5), RieszPotential(beta)):
+            w = symbol_values(grid, symbol)
+            expected = float(np.sum(w * np.abs(full) ** 2)) / box ** n
+            got = _form(grid, np.fft.rfftn(f), _half(w))
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n,m,box,beta", CASES)
+    @pytest.mark.parametrize("G", [sum_squares(), ProductPowers((1.5, 1.5))])
+    def test_energy_and_gradient_match_complex_reference(self, n, m, box, beta, G):
+        from gnlab.spectral import Bessel, RieszPotential, symbol_values
+        from gnlab.variational import g_partial
+
+        grid = make_grid(n, m, box)
+        params = EnergyParams(s=0.75, m2=0.5, beta=beta, G=G)
+        arrs = [self.edge_heavy(grid, seed) for seed in (1, 2)]
+        u = MultiField(tuple(Field(grid, Domain.PHYSICAL, a) for a in arrs), (1.0, 1.0))
+        w_quad = symbol_values(grid, Bessel(1.5, 0.5))
+        w_riesz = symbol_values(grid, RieszPotential(beta))
+        c = riesz_constant(n, beta)
+        hats = [np.fft.fftn(a) * grid.quadrature_weight for a in arrs]
+        g_hat = np.fft.fftn(g_value(G, arrs)) * grid.quadrature_weight
+        vol = box ** n
+        quad = sum(float(np.sum(w_quad * np.abs(h) ** 2)) for h in hats) / vol
+        inter = c * float(np.sum(w_riesz * np.abs(g_hat) ** 2)) / vol
+        assert energy(u, params) == pytest.approx(0.5 * quad - inter, rel=1e-12)
+
+        conv = c * np.fft.ifftn(np.fft.fftn(g_value(G, arrs)) * w_riesz).real
+        grads = energy_gradient(u, params)
+        for i, (a, g) in enumerate(zip(arrs, grads)):
+            ref = np.fft.ifftn(w_quad * np.fft.fftn(a)).real - 2.0 * conv * g_partial(G, arrs, i)
+            assert np.max(np.abs(g.data.real - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestProjectionAndRearrangement:
     def test_project_idempotent_and_exact(self):
         grid = make_grid(2, 32, 10.0)
