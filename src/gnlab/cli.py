@@ -504,10 +504,7 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, TypeError, KeyError, FileNotFoundError, ZeroDivisionError) as exc:
         print(f"gnlab: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FloatingPointError as exc:
-        print(f"gnlab: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RuntimeError as exc:
+    except (FloatingPointError, RuntimeError) as exc:
         print(f"gnlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

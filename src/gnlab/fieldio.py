@@ -40,8 +40,14 @@ def read_gnf(path: Union[str, Path]) -> Field:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a GNF1 file (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        size = fh.read(4)
+        if len(size) != 4:
+            raise ValueError(f"{path}: truncated header")
+        (hlen,) = struct.unpack("<I", size)
+        blob = fh.read(hlen)
+        if len(blob) != hlen:
+            raise ValueError(f"{path}: truncated header")
+        header = json.loads(blob.decode("utf-8"))
         if header.get("dtype") != "c128":
             raise ValueError(f"{path}: unsupported dtype {header.get('dtype')!r}")
         grid = Grid(int(header["n"]), int(header["points_per_dim"]), float(header["box_length"]))

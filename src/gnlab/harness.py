@@ -253,14 +253,9 @@ def convexity_check(
     inv_p = sum((th * tr.inv_p for tr, th in components), Fraction(0))
     inv_q = sum((th * tr.inv_q for tr, th in components), Fraction(0))
     target = SpaceTriple(sigma, inv_p, inv_q)
-
-    def bspec(tr: SpaceTriple) -> NormSpec:
-        return NormSpec(
-            NormFamily.HOMOG_BESOV, float(tr.s), _exp(tr.inv_p), _exp(tr.inv_q),
-            shell_range=shell_range,
-        )
-
-    lhs, *parts = norm_values(field, [bspec(target)] + [bspec(tr) for tr, _ in components])
+    triples = [target] + [tr for tr, _ in components]
+    specs = [space_norm_spec(Scale.HOMOG_BESOV, tr, shell_range) for tr in triples]
+    lhs, *parts = norm_values(field, specs)
     rhs = 1.0
     for part, (_, th) in zip(parts, components):
         rhs *= part ** float(th)

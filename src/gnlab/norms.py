@@ -26,6 +26,7 @@ from .spectral import (
     apply_symbol,
     lowpass_multiplier,
     shell_multiplier,
+    symbol_values,
     to_fourier,
     to_physical,
     zero_mode_fraction,
@@ -59,6 +60,9 @@ class NormSpec:
     shell_range: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
+        for name, value in (("p", self.p), ("q", self.q)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive; got {value}")
         if self.family is NormFamily.BESSEL_SOBOLEV and self.m2 < 0:
             raise ValueError("m2 must be nonnegative")
 
@@ -242,8 +246,6 @@ def sobolev_norm(field: Field, spec: NormSpec) -> float:
     else:
         symbol = FracLaplacian(spec.s)
     if spec.p == 2.0:
-        from .spectral import symbol_values
-
         vals = symbol_values(grid, symbol)
         total = float(np.sum((vals * np.abs(hat.data)) ** 2))
         return math.sqrt(total / grid.box_length ** grid.n)
@@ -259,5 +261,6 @@ def compute_norm(field: Field, spec: NormSpec) -> NormResult:
     value = norm_values(field, [spec])[0]
     rng = None
     if spec.family in _BESOV or spec.family in _TRIEBEL:
-        rng = spec.shell_range or (field.grid.k_min, field.grid.k_max)
+        shells = _resolve_shells(field.grid, spec)
+        rng = (shells.start, shells.stop - 1) if shells else None
     return NormResult(spec.family, spec.s, spec.p, spec.q, value, rng, tuple(warnings))

@@ -56,56 +56,56 @@ def regression_table() -> List[RegressionInstance]:
     p = GNProblem(3, F(1, 3), _t(0, 10), _t("-1/2", "inf"), _t(1, "10/3", "10/3"), Scale.HOMOG_BESOV)
     rows.append(RegressionInstance(
         "lebesgue10_3d", p, "besov",
-        Mutant("finite-q-target", replace_target(p, _t(0, 10, "10/3")), ("1.10",)),
+        Mutant("finite-q-target", dc_replace(p, target=_t(0, 10, "10/3")), ("1.10",)),
     ))
 
     # ||u||_4 <= ||grad u||_2^(1/2) ||u||_(B^-1)^(1/2)
     p = GNProblem(3, F(1, 2), _t(0, 4), _t(-1, "inf"), _t(1, 2), Scale.HOMOG_BESOV)
     rows.append(RegressionInstance(
         "quartic_gradient_3d", p, "besov",
-        Mutant("finite-q-target", replace_target(p, _t(0, 4, 2)), ("1.10",)),
+        Mutant("finite-q-target", dc_replace(p, target=_t(0, 4, 2)), ("1.10",)),
     ))
 
     # Ledoux-type L^6 bound, theta = p/q = 1/3
     p = GNProblem(3, F(1, 3), _t(0, 6), _t("-1/2", "inf"), _t(1, 2), Scale.HOMOG_BESOV)
     rows.append(RegressionInstance(
         "ledoux_l6_3d", p, "besov",
-        Mutant("unbalanced-source1", replace_source1(p, _t("3/2", 2)), ("1.8",)),
+        Mutant("unbalanced-source1", dc_replace(p, source1=_t("3/2", 2)), ("1.8",)),
     ))
 
     # Lebesgue-Sobolev step of the interaction-functional chain (sup sources)
     p = GNProblem(3, F(1, 2), _t(0, "12/5", 1), _t(0, 2), _t("1/2", 2), Scale.HOMOG_BESOV)
     rows.append(RegressionInstance(
         "hls_chain_l12_5_3d", p, "besov-sup",
-        Mutant("order-violating-target", replace_target(p, _t("1/2", "12/7", 1)), ("1.16",)),
+        Mutant("order-violating-target", dc_replace(p, target=_t("1/2", "12/7", 1)), ("1.16",)),
     ))
 
     # space-time interpolation endpoint used for L^(10/3) control in 3d
     p = GNProblem(3, F(3, 5), _t(0, "10/3"), _t("-3/2", "inf"), _t(1, 2), Scale.HOMOG_BESOV)
     rows.append(RegressionInstance(
         "space_time_l10_3_3d", p, "besov",
-        Mutant("finite-q-target", replace_target(p, _t(0, "10/3", "5/3")), ("1.10",)),
+        Mutant("finite-q-target", dc_replace(p, target=_t(0, "10/3", "5/3")), ("1.10",)),
     ))
 
     # ||u||_(12/5) <= ||u||_2^(3/4) ||u||_(H^1)^(1/4) on the potential scale
     p = GNProblem(3, F(1, 4), _t(0, "12/5"), _t(0, 2), _t(1, 2), Scale.RIESZ_POTENTIAL)
     rows.append(RegressionInstance(
         "hls_step_quadratic_3d", p, "riesz",
-        Mutant("order-violating-target", replace_target(p, _t("1/2", "12/7")), ("1.23",)),
+        Mutant("order-violating-target", dc_replace(p, target=_t("1/2", "12/7")), ("1.23",)),
     ))
 
     # same chain at the mu = 7/3 growth exponent
     p = GNProblem(3, F(3, 7), _t(0, "14/5"), _t(0, 2), _t(1, 2), Scale.RIESZ_POTENTIAL)
     rows.append(RegressionInstance(
         "hls_step_mu_3d", p, "riesz",
-        Mutant("unbalanced-source1", replace_source1(p, _t(1, 3)), ("1.23",)),
+        Mutant("unbalanced-source1", dc_replace(p, source1=_t(1, 3)), ("1.23",)),
     ))
 
     # strict-case sup-source interpolation (2d)
     p = GNProblem(2, F(1, 3), _t(0, 4, 1), _t(0, 2), _t(1, 4), Scale.HOMOG_BESOV)
     rows.append(RegressionInstance(
         "sup_source_strict_2d", p, "besov-sup",
-        Mutant("unbalanced-target", replace_target(p, _t(0, 3, 1)), ("1.14",)),
+        Mutant("unbalanced-target", dc_replace(p, target=_t(0, 3, 1)), ("1.14",)),
     ))
 
     # Triebel-Lizorkin interpolation with distinct source smoothness (1d)
@@ -137,21 +137,21 @@ def regression_table() -> List[RegressionInstance]:
     p = GNProblem(3, F(1, 2), _t(1, 4), _t(0, "inf"), _t(2, 2), Scale.HOMOG_BESOV)
     rows.append(RegressionInstance(
         "oscillation_gradient_l4_3d", p, "besov",
-        Mutant("finite-q-target", replace_target(p, _t(1, 4, 4)), ("1.10",)),
+        Mutant("finite-q-target", dc_replace(p, target=_t(1, 4, 4)), ("1.10",)),
     ))
 
     # third-order variant, theta = 1/3
     p = GNProblem(3, F(1, 3), _t(1, 6), _t(0, "inf"), _t(3, 2), Scale.HOMOG_BESOV)
     rows.append(RegressionInstance(
         "oscillation_gradient_l6_3d", p, "besov",
-        Mutant("unbalanced-source1", replace_source1(p, _t(3, 3)), ("1.8",)),
+        Mutant("unbalanced-source1", dc_replace(p, source1=_t(3, 3)), ("1.8",)),
     ))
 
     # equality case saturating the q-convexity bound (1d)
     p = GNProblem(1, F(1, 2), _t(0, 4, 4), _t(-1, "inf"), _t(1, 2, 2), Scale.HOMOG_BESOV)
     rows.append(RegressionInstance(
         "besov_equality_q_1d", p, "besov",
-        Mutant("finite-q-target", replace_target(p, _t(0, 4, "8/3")), ("1.10",)),
+        Mutant("finite-q-target", dc_replace(p, target=_t(0, 4, "8/3")), ("1.10",)),
     ))
 
     # sup-source equality case with matching integrability (1d)
@@ -165,14 +165,6 @@ def regression_table() -> List[RegressionInstance]:
         ),
     ))
     return rows
-
-
-def replace_target(p: GNProblem, target: SpaceTriple) -> GNProblem:
-    return dc_replace(p, target=target)
-
-
-def replace_source1(p: GNProblem, source1: SpaceTriple) -> GNProblem:
-    return dc_replace(p, source1=source1)
 
 
 @dataclass

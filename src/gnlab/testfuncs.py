@@ -24,6 +24,7 @@ from .spectral import (
     Domain,
     Field,
     Grid,
+    _radius2,
     to_physical,
 )
 
@@ -113,16 +114,6 @@ def bump_center(j: int, freq_spacing: float, n: int) -> np.ndarray:
     return center
 
 
-def _offset_radius(grid: Grid, center: np.ndarray) -> np.ndarray:
-    axis = grid.axis_freqs()
-    r2 = np.zeros(grid.shape)
-    for ax in range(grid.n):
-        shape = [1] * grid.n
-        shape[ax] = grid.points_per_dim
-        r2 = r2 + (axis.reshape(shape) - center[ax]) ** 2
-    return np.sqrt(r2)
-
-
 def build_family(
     family: LacunaryFamily,
     grid: Grid,
@@ -149,7 +140,7 @@ def build_family(
                 f"shell {j}: bump exceeds the frequency lattice; largest "
                 f"admissible count for this grid and j0={family.j0} is {count_ok}"
             )
-        r = _offset_radius(grid, center)
+        r = np.sqrt(_radius2([grid.axis_freqs() - c for c in center]))
         bump = profile.phi(scale * r)
         support = bump != 0.0
         if not support.any():
@@ -178,21 +169,12 @@ def gaussian(grid: Grid, width: float, center: Optional[Tuple[float, ...]] = Non
         center = (0.0,) * grid.n
     L = grid.box_length
     axis = grid.axis_coords()
-    r2 = np.zeros(grid.shape)
-    for ax in range(grid.n):
-        shape = [1] * grid.n
-        shape[ax] = grid.points_per_dim
-        d = axis.reshape(shape) - center[ax]
-        d = (d + L / 2.0) % L - L / 2.0
-        r2 = r2 + d ** 2
+    r2 = _radius2([(axis - c + L / 2.0) % L - L / 2.0 for c in center])
     return Field(grid, Domain.PHYSICAL, np.exp(-r2 / (2.0 * width ** 2)))
 
 
 def _conjugate_reverse(arr: np.ndarray) -> np.ndarray:
-    out = np.conj(arr)
-    for ax in range(arr.ndim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
+    return np.conj(np.roll(np.flip(arr), 1, axis=tuple(range(arr.ndim))))
 
 
 def random_band_limited(grid: Grid, k_lo: int, k_hi: int, seed: int) -> Field:

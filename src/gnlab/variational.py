@@ -31,6 +31,7 @@ from .spectral import (
     FracLaplacian,
     Grid,
     RieszPotential,
+    _mesh,
     riesz_constant,
     symbol_values,
     to_physical,
@@ -274,12 +275,7 @@ def project_spheres(u: MultiField) -> MultiField:
 def _radial_order(n: int, m: int, length: float) -> np.ndarray:
     grid = Grid(n, m, length)
     r2 = grid.coord_radius2().ravel()
-    axes = []
-    axis = grid.axis_coords()
-    for ax in range(n):
-        shape = [1] * n
-        shape[ax] = m
-        axes.append(np.broadcast_to(axis.reshape(shape), grid.shape).ravel())
+    axes = [np.broadcast_to(a, grid.shape).ravel() for a in _mesh([grid.axis_coords()] * n)]
     keys = tuple(reversed(axes)) + (r2,)
     order = np.lexsort(keys)
     order.flags.writeable = False

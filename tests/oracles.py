@@ -81,3 +81,36 @@ def convolve_with_kernel(rho: np.ndarray, kernel: np.ndarray, weight: float,
         disp = tuple((np.asarray(pt)[k] - grids[k]) % M for k in range(n))
         out.append(float(np.sum(kernel[disp] * rho)) * weight)
     return np.asarray(out)
+
+
+def dilate_reference(data: np.ndarray, physical: bool, L: float, log2_lambda: int,
+                     l2_normalized: bool) -> np.ndarray:
+    """Dyadic dilation of FFT-layout samples by two-branch strided resampling.
+
+    Enlarging (log2_lambda > 0): resample physical samples at stride 2^m and
+    keep the points with every coordinate |x_k| < L / (2 stride).  Shrinking:
+    resample the Fourier data at stride 2^|m| and keep the points with every
+    lattice index |k| < M / (2 stride).  Gathers and masks use explicit
+    np.indices arrays; transforms are fftn * h^n and ifftn / h^n.  The result
+    is returned in the input's domain.
+    """
+    n = data.ndim
+    M = data.shape[0]
+    w = (L / M) ** n
+    m = int(log2_lambda)
+    lam = 2.0 ** m
+    a = n / 2.0 if l2_normalized else 0.0
+    stride = 2 ** abs(m)
+    idx = np.indices(data.shape)
+    gather = tuple((i * stride) % M for i in idx)
+    if m > 0:
+        src = data if physical else np.fft.ifftn(data) / w
+        coords = np.fft.fftfreq(M, d=1.0 / M) * (L / M)
+        keep = np.all(np.abs(coords[idx]) < L / (2.0 * stride), axis=0)
+        out = np.where(keep, src[gather], 0.0) * (lam ** a)
+        return out if physical else np.fft.fftn(out) * w
+    src = np.fft.fftn(data) * w if physical else data
+    kk = np.fft.fftfreq(M, d=1.0 / M)
+    keep = np.all(np.abs(kk[idx]) < M / (2.0 * stride), axis=0)
+    out = np.where(keep, src[gather], 0.0) * (lam ** (a - n))
+    return np.fft.ifftn(out) / w if physical else out

@@ -116,6 +116,25 @@ class TestFieldCommands:
         )
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.parametrize("family,q,header_bytes", [
+        ("HomogBesov", "-2", None), ("HomogTriebel", "-1", None), ("HomogBesov", "2", 8),
+    ])
+    def test_bad_norm_input_exit_2(self, tmp_path, family, q, header_bytes):
+        from gnlab.fieldio import write_gnf
+        from gnlab.spectral import make_grid
+        from gnlab.testfuncs import gaussian
+
+        field = tmp_path / "g.gnf"
+        write_gnf(field, gaussian(make_grid(1, 512, 40.0), 1.5))
+        if header_bytes is not None:
+            field.write_bytes(field.read_bytes()[:header_bytes])
+        proc = run_cli(
+            ["norm", "--field", str(field), "--family", family, "--q", q], tmp_path
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
     def test_invalid_family_exit_2(self, tmp_path):
         proc = run_cli(
             ["family", "--kind", "EpsBumpTrain", "--n", "1", "--points", "256",

@@ -295,6 +295,16 @@ class TestNormValues:
             norm_values(f, self.MIXED + [bspec(0.0, 2.0, 2.0, shell_range=(0, 40))])
 
 
+class TestNormSpec:
+    @pytest.mark.parametrize("name,value", [
+        ("p", 0.0), ("p", -1.0), ("p", math.nan), ("q", 0.0), ("q", -2.0), ("q", math.nan),
+    ])
+    def test_rejects_nonpositive_or_nan_exponents(self, name, value):
+        for family in NormFamily:
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                NormSpec(family, **{name: value})
+
+
 class TestNormResult:
     def test_serialization_shape(self):
         g = make_grid(1, 256, 4 * math.pi)
@@ -304,3 +314,21 @@ class TestNormResult:
         assert set(doc) == {"family", "s", "p", "q", "value", "shell_range", "warnings"}
         assert doc["family"] == "HomogBesov"
         assert doc["shell_range"] == [g.k_min, g.k_max]
+
+    def test_shell_range_is_the_summed_range(self):
+        """Inhomogeneous sums start at shell 1 (the low-pass block covers the
+        rest), so the reported range starts there; a range below shell 1
+        sums the low-pass block alone and reports no shells."""
+        g = make_grid(1, 1024, 64.0)
+        f = gaussian(g, 2.0)
+        for family in (NormFamily.INHOMOG_BESOV, NormFamily.INHOMOG_TRIEBEL):
+            res = compute_norm(f, bspec(0.5, 2.0, 2.0, family=family))
+            assert res.shell_range == (1, g.k_max)
+            res = compute_norm(f, bspec(0.5, 2.0, 2.0, family=family, shell_range=(-2, 3)))
+            assert res.shell_range == (1, 3)
+            low = compute_norm(f, bspec(0.5, 2.0, 2.0, family=family, shell_range=(-2, 0)))
+            assert low.shell_range is None
+            assert low.to_json_dict()["shell_range"] is None
+            assert low.value > 0
+        homog = compute_norm(f, bspec(0.5, 2.0, 2.0, shell_range=(-2, 3)))
+        assert homog.shell_range == (-2, 3)

@@ -300,6 +300,26 @@ class TestDilate:
         fd = dilate(dilate(f, -1, l2_normalized=True), 1, l2_normalized=True)
         assert np.max(np.abs(to_physical(fd).data - to_physical(f).data)) < 1e-8
 
+    @pytest.mark.parametrize("n,m,L", [(1, 256, 7.3), (2, 64, 7.3), (3, 32, 7.3), (3, 16, 4 * math.pi)])
+    def test_bit_exact_against_two_branch_reference(self, n, m, L):
+        """One index mask in either domain equals the coordinate mask in
+        physical space and the index mask in Fourier space, bit for bit."""
+        from oracles import dilate_reference
+
+        g = make_grid(n, m, L)
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        for domain in (Domain.PHYSICAL, Domain.FOURIER):
+            f = Field(g, domain, data)
+            for log2_lambda in (-3, -2, -1, 1, 2, 3):
+                for l2 in (False, True):
+                    out = dilate(f, log2_lambda, l2_normalized=l2)
+                    ref = dilate_reference(
+                        data, domain is Domain.PHYSICAL, L, log2_lambda, l2
+                    )
+                    assert out.domain is domain
+                    assert np.array_equal(out.data, ref), (domain, log2_lambda, l2)
+
 
 class TestGNF1:
     def test_roundtrip(self, tmp_path):
@@ -326,4 +346,13 @@ class TestGNF1:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="payload"):
+            read_gnf(path)
+
+    @pytest.mark.parametrize("cut", [8, 10, 12, 20])
+    def test_truncated_header_rejected(self, tmp_path, cut):
+        g = make_grid(1, 16, 2.0)
+        path = tmp_path / "h.gnf"
+        write_gnf(path, Field(g, Domain.PHYSICAL, np.ones(16)))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated header"):
             read_gnf(path)
