@@ -27,7 +27,6 @@ from .checker import (
 from .norms import NormFamily, NormSpec, besov_norm, compute_norm, lp_norm, sobolev_norm, triebel_norm
 from .spectral import (
     Bessel,
-    CutoffProfile,
     Domain,
     Field,
     FracLaplacian,

@@ -28,7 +28,7 @@ from . import fieldio
 from .checker import GNProblem, check_by_rule, auto_check
 from .harness import eps_bump_family_for, growth_experiment
 from .norms import NormFamily, NormSpec, compute_norm
-from .rational import as_fraction
+from .rational import as_exact, as_fraction, format_rational
 from .regression import regression_table, run_regression
 from .spectral import Grid, make_grid
 from .testfuncs import FamilyKind, LacunaryFamily, build_family, gaussian, random_band_limited
@@ -66,8 +66,6 @@ def canonical_json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, Fraction):
-        from .rational import format_rational
-
         return json.dumps(format_rational(obj))
     if isinstance(obj, float):
         return format_float(obj)
@@ -351,22 +349,23 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def _cstar_cache_path(n: int, beta: float, grid: Grid) -> Path:
+def _cstar_cache_path(n: int, beta, grid: Grid) -> Path:
     """The key covers the problem, the settings cstar_cached runs the
     estimator with (its defaults) and the package version, so an entry
-    written under other settings or by another release is a miss."""
+    written under other settings or by another release is a miss.  beta is
+    keyed exactly, so 2.2 and 11/5 share one entry."""
     cache_dir = Path(os.environ.get("GNLAB_CACHE_DIR", Path.home() / ".cache" / "gnlab"))
     defaults = inspect.signature(estimate_cstar).parameters
     settings = f"{defaults['max_iters'].default}|{tuple(defaults['seeds'].default)}"
     key = (
-        f"{n}|{beta:.17g}|{grid.points_per_dim}|{grid.box_length:.17g}"
+        f"{n}|{format_rational(as_exact(beta))}|{grid.points_per_dim}|{grid.box_length:.17g}"
         f"|{settings}|{gnlab.__version__}"
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_dir / f"cstar-{digest}.json"
 
 
-def cstar_cached(n: int, beta: float, grid: Grid) -> float:
+def cstar_cached(n: int, beta, grid: Grid) -> float:
     """Cached estimate; an unreadable entry, or one without a finite value,
     is a miss and is rewritten."""
     path = _cstar_cache_path(n, beta, grid)
@@ -377,7 +376,7 @@ def cstar_cached(n: int, beta: float, grid: Grid) -> float:
         value = math.nan
     if math.isfinite(value):
         return value
-    est = estimate_cstar(n, beta, grid)
+    est = estimate_cstar(n, float(beta), grid)
     atomic_write(path, canonical_json({"value": est.value}) + "\n")
     return est.value
 
@@ -385,10 +384,10 @@ def cstar_cached(n: int, beta: float, grid: Grid) -> float:
 def cmd_cstar(args) -> int:
     grid = make_grid(args.n, args.points, args.box_length)
     if args.no_cache:
-        value = estimate_cstar(args.n, args.beta, grid).value
+        value = estimate_cstar(args.n, float(args.beta), grid).value
     else:
         value = cstar_cached(args.n, args.beta, grid)
-    emit(args, {"n": args.n, "beta": args.beta, "cstar": value,
+    emit(args, {"n": args.n, "beta": float(args.beta), "cstar": value,
                 "grid": {"points_per_dim": args.points, "box_length": args.box_length}})
     return EXIT_OK
 
@@ -400,7 +399,7 @@ def cmd_regimes(args) -> int:
     else:
         cstar = float(args.cstar)
     report = regime_classify(
-        args.n, args.beta, args.s, args.m2, args.c, cstar, _parse_g(args.g)
+        args.n, args.beta, args.s, args.m2, float(args.c), cstar, _parse_g(args.g)
     )
     payload = report.to_json_dict()
     payload["cstar"] = cstar
@@ -475,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cstar", help="estimate the sharp interaction constant")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--beta", type=float, required=True)
+    c.add_argument("--beta", type=as_fraction, required=True)
     c.add_argument("--points", type=int, required=True)
     c.add_argument("--box-length", type=float, required=True)
     c.add_argument("--no-cache", action="store_true")
@@ -484,10 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("regimes", help="classify the minimizer-existence regime")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--beta", type=float, required=True)
-    c.add_argument("--s", type=float, required=True)
-    c.add_argument("--m2", type=float, required=True)
-    c.add_argument("--c", type=float, required=True)
+    c.add_argument("--beta", type=as_fraction, required=True)
+    c.add_argument("--s", type=as_fraction, required=True)
+    c.add_argument("--m2", type=as_fraction, required=True)
+    c.add_argument("--c", type=as_fraction, required=True)
     c.add_argument("--cstar", default="auto")
     c.add_argument("--g", default="sum_squares")
     c.add_argument("--points", type=int, default=32)
@@ -501,7 +500,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, TypeError, KeyError, FileNotFoundError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, ZeroDivisionError) as exc:
         print(f"gnlab: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FloatingPointError, RuntimeError) as exc:

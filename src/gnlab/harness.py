@@ -119,31 +119,27 @@ class RatioExperiment:
     verdict: Verdict
 
 
-def eps_bump_family_for(
-    problem: GNProblem,
-    eps: Fraction = Fraction(1, 4),
-    j0: Optional[int] = None,
-) -> LacunaryFamily:
+EPS = Fraction(1, 4)  # per-shell growth margin of the amplitude trains
+
+
+def eps_bump_family_for(problem: GNProblem) -> LacunaryFamily:
     """Amplitude train tuned to the problem: per-shell weights in the
-    source0 space grow like 2^(eps j), i.e. amplitude exponent eps - s0.
+    source0 space grow like 2^(EPS j), i.e. amplitude exponent EPS - s0.
 
     Above one dimension the train starts at shell 3: diagonal lattice
     offsets push a shell-2 bump past its exact band.
     """
-    eps = as_fraction(eps)
-    if j0 is None:
-        j0 = 2 if problem.n == 1 else 3
     return LacunaryFamily(
         kind=FamilyKind.EPS_BUMP_TRAIN,
         n=problem.n,
         index=1,
-        j0=j0,
-        eps=eps,
-        amp_exp=eps - problem.source0.s,
+        j0=2 if problem.n == 1 else 3,
+        eps=EPS,
+        amp_exp=EPS - problem.source0.s,
     )
 
 
-def scaled_family_for(problem: GNProblem, j0: int = 4) -> LacunaryFamily:
+def scaled_family_for(problem: GNProblem) -> LacunaryFamily:
     """Cardinality train for the equality case with p0 != p1: the width
     exponent lambda = (s1 - s0) / (n (1/p0 - 1/p1)) equalizes all three
     weighted shell sequences."""
@@ -158,7 +154,7 @@ def scaled_family_for(problem: GNProblem, j0: int = 4) -> LacunaryFamily:
         kind=FamilyKind.SCALED_BUMP_TRAIN,
         n=problem.n,
         index=1,
-        j0=j0,
+        j0=4,
         s=problem.target.s,
         inv_p=problem.target.inv_p,
         lam=lam,
@@ -206,9 +202,8 @@ def random_ratio_sweep(
     grid: Grid,
     bands: Sequence[int],
     seeds_per_band: int = 5,
-    band_width: int = 1,
 ) -> Tuple[List[float], List[float]]:
-    """Ratios of random band-limited fields across frequency bands.
+    """Ratios of random band-limited fields on the bands [k, k + 1].
 
     Under an exact scaling balance the band index does not tilt the ratio,
     so a Holds verdict predicts a flat (slope <= 0.05) cloud.
@@ -216,7 +211,7 @@ def random_ratio_sweep(
     xs, ys = [], []
     for k in bands:
         for seed in range(seeds_per_band):
-            f = random_band_limited(grid, k, k + band_width, seed=1000 * k + seed)
+            f = random_band_limited(grid, k, k + 1, seed=1000 * k + seed)
             xs.append(float(k))
             ys.append(gn_ratio(f, problem))
     return xs, ys
@@ -233,14 +228,12 @@ class ConvexityReport:
 def convexity_check(
     field: Field,
     components: Sequence[Tuple[SpaceTriple, Fraction]],
-    shell_range: Optional[Tuple[int, int]] = None,
-    slack: float = 1e-9,
 ) -> ConvexityReport:
     """Multiplicative convexity bound across Besov spaces.
 
     The target indices are the exact convex combinations sigma = sum theta_i
     sigma_i, 1/p = sum theta_i/p_i, 1/q = sum theta_i/q_i; the check is
-    LHS <= RHS (1 + slack) with RHS the weighted product of component norms.
+    LHS <= RHS (1 + 1e-9) with RHS the weighted product of component norms.
     """
     if not components:
         raise ValueError("need at least one component")
@@ -254,9 +247,9 @@ def convexity_check(
     inv_q = sum((th * tr.inv_q for tr, th in components), Fraction(0))
     target = SpaceTriple(sigma, inv_p, inv_q)
     triples = [target] + [tr for tr, _ in components]
-    specs = [space_norm_spec(Scale.HOMOG_BESOV, tr, shell_range) for tr in triples]
+    specs = [space_norm_spec(Scale.HOMOG_BESOV, tr) for tr in triples]
     lhs, *parts = norm_values(field, specs)
     rhs = 1.0
     for part, (_, th) in zip(parts, components):
         rhs *= part ** float(th)
-    return ConvexityReport(lhs, rhs, target, lhs <= rhs * (1.0 + slack))
+    return ConvexityReport(lhs, rhs, target, lhs <= rhs * (1.0 + 1e-9))

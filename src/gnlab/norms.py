@@ -17,8 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .spectral import (
-    DEFAULT_PROFILE,
-    CutoffProfile,
     Field,
     FracLaplacian,
     Bessel,
@@ -63,6 +61,9 @@ class NormSpec:
         for name, value in (("p", self.p), ("q", self.q)):
             if not value > 0:
                 raise ValueError(f"{name} must be positive; got {value}")
+        for name, value in (("s", self.s), ("m2", self.m2)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite; got {value}")
         if self.family is NormFamily.BESSEL_SOBOLEV and self.m2 < 0:
             raise ValueError("m2 must be nonnegative")
 
@@ -133,7 +134,7 @@ def _lq_reduce(terms: List[float], q: float) -> float:
     return acc ** (1.0 / q)
 
 
-def _shell_stack(hat: Field, specs: Sequence[NormSpec], profile: CutoffProfile) -> List[float]:
+def _shell_stack(hat: Field, specs: Sequence[NormSpec]) -> List[float]:
     """Besov and Triebel values from one pass over the union of their shells.
 
     Besov: l^q over shells of 2^(ks) ||Delta_k f||_p.  Triebel: L^p norm of
@@ -152,9 +153,9 @@ def _shell_stack(hat: Field, specs: Sequence[NormSpec], profile: CutoffProfile) 
     aggs = [np.zeros(grid.shape) if spec.family in _TRIEBEL else None for spec in specs]
     for k in sorted(set().union(*weights), key=lambda k: -math.inf if k is None else k):
         if k is None:
-            mult = lowpass_multiplier(grid, profile)
+            mult = lowpass_multiplier(grid)
         else:
-            mult = shell_multiplier(grid, k, profile)
+            mult = shell_multiplier(grid, k)
         piece = np.fft.ifftn(hat.data * mult)
         del mult
         piece /= w
@@ -181,11 +182,7 @@ def _shell_stack(hat: Field, specs: Sequence[NormSpec], profile: CutoffProfile) 
     return values
 
 
-def norm_values(
-    field: Field,
-    specs: Sequence[NormSpec],
-    profile: CutoffProfile = DEFAULT_PROFILE,
-) -> List[float]:
+def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     """Values of several norms of one field, in the order of `specs`.
 
     One forward transform (none for a field in Fourier form) serves every
@@ -211,13 +208,13 @@ def norm_values(
         else:
             stacked.append(i)
     if stacked and np.any(hat.data):
-        shell_values = _shell_stack(hat, [specs[i] for i in stacked], profile)
+        shell_values = _shell_stack(hat, [specs[i] for i in stacked])
         for i, value in zip(stacked, shell_values):
             values[i] = value
     return values
 
 
-def besov_norm(field: Field, spec: NormSpec, profile: CutoffProfile = DEFAULT_PROFILE) -> float:
+def besov_norm(field: Field, spec: NormSpec) -> float:
     """l^q over shells of 2^(ks) ||shell_k f||_p.
 
     The inhomogeneous variant replaces shells k <= 0 by the single low-pass
@@ -225,14 +222,14 @@ def besov_norm(field: Field, spec: NormSpec, profile: CutoffProfile = DEFAULT_PR
     """
     if spec.family not in _BESOV:
         raise ValueError(f"besov_norm got family {spec.family}")
-    return norm_values(field, [spec], profile)[0]
+    return norm_values(field, [spec])[0]
 
 
-def triebel_norm(field: Field, spec: NormSpec, profile: CutoffProfile = DEFAULT_PROFILE) -> float:
+def triebel_norm(field: Field, spec: NormSpec) -> float:
     """L^p norm of the pointwise l^q aggregate over shells; p < inf only."""
     if spec.family not in _TRIEBEL:
         raise ValueError(f"triebel_norm got family {spec.family}")
-    return norm_values(field, [spec], profile)[0]
+    return norm_values(field, [spec])[0]
 
 
 def sobolev_norm(field: Field, spec: NormSpec) -> float:

@@ -26,6 +26,14 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def as_exact(x) -> Fraction:
+    """as_fraction that also takes floats, each read as the decimal it prints
+    as, so 2.2 is 11/5."""
+    if isinstance(x, (Fraction, int, str)):
+        return as_fraction(x)
+    return Fraction(str(float(x)))
+
+
 def inv_exponent(p) -> Fraction:
     """Reciprocal of an exponent in (0, inf]; 'inf' maps to the exact 0."""
     if p is None:

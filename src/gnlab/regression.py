@@ -217,7 +217,7 @@ def eps_blowup_case(points: int = 2 ** 14) -> BlowupCase:
     problem = GNProblem(
         1, F(1, 2), _t("1/2", "4/3", 2), _t(0, 2, 2), _t("1/2", 2, 2), Scale.HOMOG_BESOV
     )
-    fam = eps_bump_family_for(problem, eps=F(1, 4), j0=2)
+    fam = eps_bump_family_for(problem)
     return BlowupCase(
         "order-margin-blowup", problem, fam, tuple(range(4, 12)),
         (1, points, 4.0 * math.pi), 0.25, ("1.9",), "besov",
@@ -233,7 +233,7 @@ def scaled_blowup_case(q: int, points: int = 2 ** 16) -> BlowupCase:
     problem = GNProblem(
         1, F(1, 2), _t("1/64", "4/3", q), _t(0, 1), _t("1/32", 2), Scale.HOMOG_BESOV
     )
-    fam = scaled_family_for(problem, j0=4)
+    fam = scaled_family_for(problem)
     return BlowupCase(
         f"equality-case-blowup-q{q}", problem, fam, (4, 5, 6, 7, 8),
         (1, points, 32.0 * math.pi), 1.0 / q, ("1.17",), "besov-sup",

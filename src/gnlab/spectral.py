@@ -11,10 +11,11 @@ so that Fourier data approximates the integral transform of a function
 concentrated inside the box, and norms computed with the quadrature weight
 h^n carry their usual scaling laws.
 
-The dyadic cutoff psi equals 1 on |xi| <= 1, vanishes for |xi| >= 3/2, and
-phi = psi - psi(2 .) telescopes to an exact partition of unity.  With the
-support radius 3/2 (rather than 2), phi is identically 1 on the closed band
-[3/4, 1] and dyadically separated frequency bumps fall in exactly one shell.
+The dyadic cutoff is fixed: psi equals 1 on |xi| <= INNER = 1, vanishes for
+|xi| >= OUTER = 3/2, and phi = psi - psi(2 .) telescopes to an exact
+partition of unity.  With the support radius 3/2 (rather than 2), phi is
+identically 1 on the closed band [3/4, 1] and dyadically separated frequency
+bumps fall in exactly one shell.
 """
 from __future__ import annotations
 
@@ -201,28 +202,25 @@ def _bump_h(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Radial cutoff pair (psi, phi) generating the dyadic decomposition."""
-
-    inner: float = 1.0
-    outer: float = 1.5
-
-    def psi(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        a = _bump_h(self.outer - t)
-        b = _bump_h(t - self.inner)
-        mid = np.zeros_like(t)
-        band = (t > self.inner) & (t < self.outer)
-        mid[band] = a[band] / (a[band] + b[band])
-        return np.where(t <= self.inner, 1.0, mid)
-
-    def phi(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self.psi(t) - self.psi(2.0 * t)
+INNER = 1.0
+OUTER = 1.5
 
 
-DEFAULT_PROFILE = CutoffProfile()
+def psi(t: np.ndarray) -> np.ndarray:
+    """1 on t <= INNER, 0 on t >= OUTER, smooth in between."""
+    t = np.asarray(t, dtype=float)
+    a = _bump_h(OUTER - t)
+    b = _bump_h(t - INNER)
+    mid = np.zeros_like(t)
+    band = (t > INNER) & (t < OUTER)
+    mid[band] = a[band] / (a[band] + b[band])
+    return np.where(t <= INNER, 1.0, mid)
+
+
+def phi(t: np.ndarray) -> np.ndarray:
+    """psi(t) - psi(2t): 1 on [OUTER/2, INNER], 0 off (INNER/2, OUTER)."""
+    t = np.asarray(t, dtype=float)
+    return psi(t) - psi(2.0 * t)
 
 
 @lru_cache(maxsize=16)
@@ -240,16 +238,16 @@ def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarra
     return levels, inverse
 
 
-def shell_multiplier(grid: Grid, k: int, profile: CutoffProfile = DEFAULT_PROFILE) -> np.ndarray:
+def shell_multiplier(grid: Grid, k: int) -> np.ndarray:
     """phi(2^-k |xi|) on the lattice."""
     levels, inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
-    return profile.phi(levels * (2.0 ** (-k)))[inverse]
+    return phi(levels * (2.0 ** (-k)))[inverse]
 
 
-def lowpass_multiplier(grid: Grid, profile: CutoffProfile = DEFAULT_PROFILE) -> np.ndarray:
+def lowpass_multiplier(grid: Grid) -> np.ndarray:
     """psi(|xi|) on the lattice (the inhomogeneous low block)."""
     levels, inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
-    return profile.psi(levels)[inverse]
+    return psi(levels)[inverse]
 
 
 def _check_shell(grid: Grid, k: int) -> None:
@@ -261,10 +259,10 @@ def _check_shell(grid: Grid, k: int) -> None:
         )
 
 
-def dyadic_project(field: Field, k: int, profile: CutoffProfile = DEFAULT_PROFILE) -> Field:
+def dyadic_project(field: Field, k: int) -> Field:
     """Frequency-shell projection; output in the same domain as the input."""
     _check_shell(field.grid, k)
-    return _multiply(field, shell_multiplier(field.grid, k, profile))
+    return _multiply(field, shell_multiplier(field.grid, k))
 
 
 def _multiply(field: Field, mult: np.ndarray) -> Field:
@@ -281,7 +279,7 @@ class PartitionReport:
     max_deviation_inhomog: float
 
 
-def partition_check(grid: Grid, profile: CutoffProfile = DEFAULT_PROFILE) -> PartitionReport:
+def partition_check(grid: Grid) -> PartitionReport:
     """Deviation of the shell sums from 1.
 
     Homogeneous: sum of phi_k over the resolved range, maximized over the
@@ -292,16 +290,16 @@ def partition_check(grid: Grid, profile: CutoffProfile = DEFAULT_PROFILE) -> Par
     r = grid.freq_radius()
     total = np.zeros_like(r)
     for k in range(grid.k_min, grid.k_max + 1):
-        total += shell_multiplier(grid, k, profile)
+        total += shell_multiplier(grid, k)
     annulus = (r >= 2.0 ** grid.k_min) & (r <= 2.0 ** grid.k_max)
     if not annulus.any():
         raise ValueError("grid resolves no complete annulus")
     dev = float(np.max(np.abs(total[annulus] - 1.0)))
     origin = float(total.flat[0])
 
-    inhom = lowpass_multiplier(grid, profile)
+    inhom = lowpass_multiplier(grid)
     for k in range(1, grid.k_max + 1):
-        inhom += shell_multiplier(grid, k, profile)
+        inhom += shell_multiplier(grid, k)
     inside = r <= 2.0 ** grid.k_max
     dev_inhom = float(np.max(np.abs(inhom[inside] - 1.0)))
     return PartitionReport(dev, origin, dev_inhom)

@@ -18,15 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .rational import as_fraction
-from .spectral import (
-    DEFAULT_PROFILE,
-    CutoffProfile,
-    Domain,
-    Field,
-    Grid,
-    _radius2,
-    to_physical,
-)
+from .spectral import INNER, OUTER, Domain, Field, Grid, _radius2, phi, to_physical
 
 
 class FamilyKind(Enum):
@@ -114,17 +106,13 @@ def bump_center(j: int, freq_spacing: float, n: int) -> np.ndarray:
     return center
 
 
-def build_family(
-    family: LacunaryFamily,
-    grid: Grid,
-    profile: CutoffProfile = DEFAULT_PROFILE,
-) -> Field:
+def build_family(family: LacunaryFamily, grid: Grid) -> Field:
     """Assemble the Fourier-domain field of the bump train.
 
     Every bump's lattice support must fall inside the closed band
-    [0.75 * 2^j, 2^j] where the shell-j cutoff is exactly 1 and all other
-    cutoffs vanish; otherwise the family is rejected with the largest
-    admissible count.
+    [(OUTER/2) 2^j, INNER 2^j] = [0.75 * 2^j, 2^j] where the shell-j cutoff
+    is exactly 1 and all other cutoffs vanish; otherwise the family is
+    rejected with the largest admissible count.
     """
     if grid.n != family.n:
         raise ValueError("family dimension does not match the grid")
@@ -134,14 +122,14 @@ def build_family(
     for j in range(j_lo, j_hi + 1):
         center = bump_center(j, grid.freq_spacing, grid.n)
         scale = 2.0 ** float(family.width_log2(j))
-        outer = center[0] + 1.5 / scale
+        outer = center[0] + OUTER / scale
         if outer > grid.nyquist:
             raise ValueError(
                 f"shell {j}: bump exceeds the frequency lattice; largest "
                 f"admissible count for this grid and j0={family.j0} is {count_ok}"
             )
         r = np.sqrt(_radius2([grid.axis_freqs() - c for c in center]))
-        bump = profile.phi(scale * r)
+        bump = phi(scale * r)
         support = bump != 0.0
         if not support.any():
             raise ValueError(
@@ -149,7 +137,8 @@ def build_family(
                 f"(spacing {grid.freq_spacing:g} too coarse)"
             )
         radius = grid.freq_radius()[support]
-        if radius.min() < 0.75 * 2.0 ** j - 1e-12 or radius.max() > 2.0 ** j + 1e-12:
+        lo, hi = OUTER / 2 * 2.0 ** j, INNER * 2.0 ** j
+        if radius.min() < lo - 1e-12 or radius.max() > hi + 1e-12:
             raise ValueError(
                 f"shell {j}: bump support leaves the exact band of its shell; "
                 f"largest admissible count for this grid and j0={family.j0} is {count_ok}"
@@ -196,11 +185,11 @@ def random_band_limited(grid: Grid, k_lo: int, k_hi: int, seed: int) -> Field:
     return Field(grid, Domain.FOURIER, data)
 
 
-def positive_random_field(grid: Grid, seed: int, k_hi: Optional[int] = None) -> Field:
-    """Nonnegative physical field: |smooth random band-limited field|."""
+def positive_random_field(grid: Grid, seed: int) -> Field:
+    """Nonnegative physical field: |smooth random band-limited field| on the
+    band [k_min, k_min + 2], cut at the top guard shell."""
     k_lo = grid.k_min
-    if k_hi is None:
-        # at least two shells wide so the annulus always meets the lattice
-        k_hi = min(max(grid.k_min + 2, k_lo + 1), grid.shell_bounds[1])
+    # two shells wide so the annulus always meets the lattice
+    k_hi = min(k_lo + 2, grid.shell_bounds[1])
     base = to_physical(random_band_limited(grid, k_lo, k_hi, seed))
     return Field(grid, Domain.PHYSICAL, np.abs(base.data.real))

@@ -8,9 +8,9 @@ with V(x) = |x|^-(n-beta) realized spectrally as riesz_constant(n, beta)
 times the |xi|^-beta multiplier (zero mode dropped: on a torus that mode is
 a periodization artifact, and the mean-field constant it carries cancels in
 all reported comparisons).  Minimization runs projected gradient descent on
-the mass spheres ||u_i||_2^2 = c_i with optional Schwarz rearrangement; the
-rearrangement step is kept only when it does not increase the energy, so
-traces stay monotone.
+the mass spheres ||u_i||_2^2 = c_i with a Schwarz rearrangement after every
+step; the rearrangement is kept only when it does not increase the energy,
+so traces stay monotone.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .rational import as_fraction
+from .rational import as_exact
 from .spectral import (
     Bessel,
     Domain,
@@ -158,10 +158,10 @@ class EnergyParams:
     G: NonlinearityG
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("s must be positive")
-        if self.m2 < 0:
-            raise ValueError("m^2 must be nonnegative")
+        if not (0 < self.s < math.inf):
+            raise ValueError(f"s must be positive and finite; got {self.s}")
+        if not (0 <= self.m2 < math.inf):
+            raise ValueError(f"m^2 must be nonnegative and finite; got {self.m2}")
 
 
 def _inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
@@ -325,14 +325,15 @@ def monotone_along_rays(field: Field, tol: float = 1e-8) -> bool:
 # minimization
 
 
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+INITIAL_STEP = 1.0
+WINDOW = 10  # iterations over which the plateau test measures the decrease
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
     max_iters: int = 2000
     tol: float = 1e-9
-    rearrange_every: int = 1
-    armijo: float = 1e-4
-    initial_step: float = 1.0
-    window: int = 10
 
 
 @dataclass
@@ -356,11 +357,11 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
 
     The search direction is the constraint-tangent gradient preconditioned by
     (max(m^2, 1) + |xi|^2)^-s, which removes the stiffness of the quadratic
-    term; descent is still measured against the true L^2 gradient.  Every
-    rearrange_every iterations the iterate is replaced by its componentwise
-    Schwarz rearrangement (re-projected), kept only if the energy does not
-    increase.  Terminates once the relative energy decrease over the trailing
-    window drops below tol.
+    term; descent is still measured against the true L^2 gradient.  After
+    every step the iterate is replaced by its componentwise Schwarz
+    rearrangement (re-projected), kept only if the energy does not increase.
+    Terminates once the relative energy decrease over the trailing WINDOW
+    iterations drops below tol.
     """
     grid, masses = u0.grid, u0.masses
     symbols = _energy_symbols(grid, params)
@@ -386,7 +387,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
             message = "stationary (zero tangent gradient)"
             break
 
-        step = options.initial_step
+        step = INITIAL_STEP
         accepted = False
         for _ in range(40):
             try:
@@ -397,7 +398,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
             cand_eval = _evaluate(grid, cand, params, symbols)
             if math.isnan(cand_eval[0]):
                 raise DivergenceError(f"energy NaN at iteration {it}")
-            if cand_eval[0] <= e - options.armijo * step * slope:
+            if cand_eval[0] <= e - ARMIJO * step * slope:
                 accepted = True
                 break
             cand_eval = None  # free the rejected spectra before the next candidate
@@ -414,16 +415,15 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
         arrs, (e, hats, g_hat) = cand, cand_eval
         del cand, cand_eval  # a kept rearrangement must not leave these alive
 
-        if options.rearrange_every > 0 and it % options.rearrange_every == 0:
-            rearranged = _project(grid, [_rearrange(grid, a) for a in arrs], masses)
-            r_eval = _evaluate(grid, rearranged, params, symbols)
-            if r_eval[0] <= e:
-                arrs, (e, hats, g_hat) = rearranged, r_eval
-            del rearranged, r_eval  # nor a rejected one its spectra
+        rearranged = _project(grid, [_rearrange(grid, a) for a in arrs], masses)
+        r_eval = _evaluate(grid, rearranged, params, symbols)
+        if r_eval[0] <= e:
+            arrs, (e, hats, g_hat) = rearranged, r_eval
+        del rearranged, r_eval  # nor a rejected one its spectra
         trace.append(e)
 
-        if len(trace) > options.window:
-            prev = trace[-options.window - 1]
+        if len(trace) > WINDOW:
+            prev = trace[-WINDOW - 1]
             scale = max(abs(prev), abs(e), 1e-30)
             if (prev - e) / scale < options.tol:
                 converged = True
@@ -620,11 +620,6 @@ class RegimeReport:
 _REL_TOL = 1e-9
 
 
-def _exact(x) -> Fraction:
-    """A float is read as the decimal it prints as, so 2.2 is 11/5."""
-    return Fraction(str(float(x))) if isinstance(x, (float, np.floating)) else as_fraction(x)
-
-
 def regime_classify(
     n: int,
     beta: float,
@@ -642,7 +637,7 @@ def regime_classify(
     1e-9 relative tolerance, and reports near the threshold are flagged as
     estimate-limited.
     """
-    n, beta, s, m2 = (_exact(x) for x in (n, beta, s, m2))
+    n, beta, s, m2 = (as_exact(x) for x in (n, beta, s, m2))
     if not (0 < beta < n):
         return RegimeReport(Regime.OUT_OF_SCOPE, "invalid", note="beta outside (0, n)")
     if s <= 0 or c <= 0 or cstar <= 0 or m2 < 0:
@@ -650,7 +645,7 @@ def regime_classify(
     s_crit = (n - beta) / 2
 
     if isinstance(G, ProductPowers):
-        alpha = sum(_exact(a) for a in G.alphas)
+        alpha = sum(as_exact(a) for a in G.alphas)
         margin = n + beta - n * alpha + 2 * s
         if margin < 0:
             return RegimeReport(
@@ -674,7 +669,7 @@ def regime_classify(
                             note="s < (n - beta)/2")
 
     # sum-of-powers kinds
-    mu = _exact(G.mu)
+    mu = as_exact(G.mu)
     if s > s_crit:
         if mu < 1 + (2 * s + beta) / n:
             return RegimeReport(Regime.MINIMIZER_EXISTS, "supercritical-smoothness")
@@ -753,18 +748,18 @@ def g_conditions_check(
     G: NonlinearityG,
     sample_count: int = 1000,
     seed: int = 0,
-    components: int = 2,
 ) -> GConditionsReport:
     """Numerically spot-check the structural conditions on G.
 
-    Growth: reports the largest observed G(v) / (|v|^2 + |v|^mu).  Zero
+    Product kinds are sampled on one component per exponent, sum kinds on
+    two.  Growth: reports the largest observed G(v) / (|v|^2 + |v|^mu).  Zero
     components: G must vanish when any component does (product kinds).
     Scaling: G(t v) >= t_max G(v) for t_i >= 1, sampled componentwise for
     product kinds and with a common t for sum kinds (sum kinds live under a
     single joint mass constraint).  Supermodularity is sampled on the pair
     function G(u) G(v) via mixed second differences.
     """
-    L = len(G.alphas) if isinstance(G, ProductPowers) else components
+    L = len(G.alphas) if isinstance(G, ProductPowers) else 2
     mu = g_degree(G)
     rng = np.random.default_rng(seed)
 
@@ -781,7 +776,7 @@ def g_conditions_check(
         if float(g_value(G, [np.array([x]) for x in v])[0]) != 0.0:
             zero_ok = False
     if isinstance(G, SumPowers):
-        zero_ok = L == 1  # sums do not vanish on a single zero component
+        zero_ok = False  # sums do not vanish on a single zero component
 
     mode = "componentwise" if isinstance(G, ProductPowers) else "common"
     base = rng.uniform(0.0, 2.0, size=(sample_count, L))

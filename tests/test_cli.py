@@ -135,6 +135,36 @@ class TestFieldCommands:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
+    def test_os_errors_exit_2(self, tmp_path):
+        """A directory where a file is expected is an IsADirectoryError, an
+        OSError like a missing file."""
+        proc = run_cli(
+            ["gaussian", "--n", "1", "--points", "512", "--box-length", "40",
+             "--width", "1.5", "--output", str(tmp_path)],
+            tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        proc = run_cli(["norm", "--field", str(tmp_path), "--family", "HomogBesov"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_nonfinite_m2_exit_2(self, tmp_path):
+        from gnlab.fieldio import write_gnf
+        from gnlab.spectral import make_grid
+        from gnlab.testfuncs import gaussian
+
+        field = tmp_path / "g.gnf"
+        write_gnf(field, gaussian(make_grid(1, 512, 40.0), 1.5))
+        proc = run_cli(
+            ["norm", "--field", str(field), "--family", "BesselSobolev", "--s", "1",
+             "--m2", "nan"],
+            tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "m2 must be finite" in proc.stderr
+
     def test_invalid_family_exit_2(self, tmp_path):
         proc = run_cli(
             ["family", "--kind", "EpsBumpTrain", "--n", "1", "--points", "256",
@@ -217,6 +247,22 @@ class TestMinimizeCommand:
         proc = run_cli(["minimize", "--config", str(path)], tmp_path)
         assert proc.returncode == 2
 
+    def test_removed_option_key_exit_2(self, tmp_path):
+        """options takes max_iters and tol only; the line-search and plateau
+        settings are constants."""
+        cfg = {
+            "grid": {"n": 3, "points_per_dim": 16, "box_length": 16.0},
+            "params": {"s": 1.0, "m2": 0.0, "beta": 2.0},
+            "masses": [1.0],
+            "options": {"window": 3},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "window" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestRegimesCommand:
     def test_supercritical_report(self, tmp_path):
@@ -228,6 +274,18 @@ class TestRegimesCommand:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["regime"] == "MinimizerExists"
+
+    def test_exact_rationals(self, tmp_path):
+        """n=3, beta=11/5, s=2/5 is critical; the flags take "a/b"."""
+        proc = run_cli(
+            ["regimes", "--n", "3", "--beta", "11/5", "--s", "2/5", "--m2", "0",
+             "--c", "1", "--cstar", "1"],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["case"] == "critical-massless"
+        assert doc["regime"] == "MinusInfinity"  # c = 1 > 1/(2 cstar)
 
     def test_cstar_auto_uses_cache(self, tmp_path):
         args = ["regimes", "--n", "3", "--beta", "2", "--s", "1", "--m2", "0",
@@ -280,6 +338,25 @@ class TestCStarCommand:
         assert cli._cstar_cache_path(3, 2.0, grid) == before
         monkeypatch.setattr(gnlab, "__version__", gnlab.__version__ + ".post1")
         assert cli._cstar_cache_path(3, 2.0, grid) != before
+
+    def test_cache_path_keyed_on_exact_beta(self, tmp_path, monkeypatch):
+        """2.2 and 11/5 are one beta, so they share one cache entry."""
+        from fractions import Fraction
+
+        from gnlab.spectral import make_grid
+
+        monkeypatch.setenv("GNLAB_CACHE_DIR", str(tmp_path / "cache"))
+        grid = make_grid(3, 16, 12.0)
+        path = cli._cstar_cache_path(3, 2.2, grid)
+        assert cli._cstar_cache_path(3, Fraction(11, 5), grid) == path
+        assert cli._cstar_cache_path(3, 2.0, grid) != path
+        path.parent.mkdir(parents=True)
+        path.write_text('{"value": 0.5}\n')
+        for beta in ("2.2", "11/5"):
+            proc = run_cli(["cstar", "--n", "3", "--beta", beta, "--points", "16",
+                            "--box-length", "12"], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["cstar"] == 0.5
 
 
 class TestCanonicalJson:

@@ -15,7 +15,7 @@ from gnlab.norms import (
     sobolev_norm,
     triebel_norm,
 )
-from gnlab.spectral import DEFAULT_PROFILE, Domain, Field, dilate, make_grid, to_fourier, to_physical
+from gnlab.spectral import Domain, Field, dilate, make_grid, phi, psi, to_fourier, to_physical
 from gnlab.testfuncs import gaussian, random_band_limited
 
 
@@ -229,8 +229,8 @@ def _reference_shell_norm(f, spec):
     r = g.freq_radius()
     inhomog = spec.family in (NormFamily.INHOMOG_BESOV, NormFamily.INHOMOG_TRIEBEL)
     klo, khi = spec.shell_range or (1 if inhomog else g.k_min, g.k_max)
-    blocks = [(1.0, DEFAULT_PROFILE.psi(r))] if inhomog else []
-    blocks += [(2.0 ** (k * spec.s), DEFAULT_PROFILE.phi(r * 2.0 ** (-k)))
+    blocks = [(1.0, psi(r))] if inhomog else []
+    blocks += [(2.0 ** (k * spec.s), phi(r * 2.0 ** (-k)))
                for k in range(max(klo, 1) if inhomog else klo, khi + 1)]
     pieces = [(wk, to_physical(hat.with_data(hat.data * mult))) for wk, mult in blocks]
     if spec.family in (NormFamily.HOMOG_BESOV, NormFamily.INHOMOG_BESOV):
@@ -302,6 +302,14 @@ class TestNormSpec:
     def test_rejects_nonpositive_or_nan_exponents(self, name, value):
         for family in NormFamily:
             with pytest.raises(ValueError, match=f"{name} must be positive"):
+                NormSpec(family, **{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("s", math.nan), ("s", math.inf), ("s", -math.inf), ("m2", math.nan), ("m2", math.inf),
+    ])
+    def test_rejects_nonfinite_s_and_m2(self, name, value):
+        for family in NormFamily:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
                 NormSpec(family, **{name: value})
 
 

@@ -58,7 +58,7 @@ class TestBumpTrains:
         checked shell-to-shell (its lattice sum converges more slowly near
         the envelope's zero crossings)."""
         from scipy.integrate import quad
-        from gnlab.spectral import DEFAULT_PROFILE
+        from gnlab.spectral import phi
 
         grid = make_grid(1, 2 ** 17, 128 * math.pi)
         fam = LacunaryFamily(
@@ -68,7 +68,7 @@ class TestBumpTrains:
         field = build_family(fam, grid)
         lam = float(fam.lam)
         phi_sq = 2 * quad(
-            lambda t: float(DEFAULT_PROFILE.phi(np.array([t]))[0]) ** 2, 0.5, 1.5, limit=200
+            lambda t: float(phi(np.array([t]))[0]) ** 2, 0.5, 1.5, limit=200
         )[0]
         base = math.sqrt(phi_sq / (2 * math.pi))
         j_lo, j_hi = fam.shells

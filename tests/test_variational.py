@@ -109,6 +109,13 @@ class TestUpsilon:
 
 
 class TestEnergy:
+    @pytest.mark.parametrize("s,m2", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -1.0),
+    ])
+    def test_params_reject_nonfinite_or_out_of_range(self, s, m2):
+        with pytest.raises(ValueError, match="s must be positive|m\\^2 must be nonnegative"):
+            EnergyParams(s, m2, 2.0, sum_squares())
+
     def test_zero_field(self):
         grid = make_grid(3, 16, 12.0)
         params = EnergyParams(1.0, 0.0, 2.0, sum_squares())
