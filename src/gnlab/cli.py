@@ -9,6 +9,7 @@ identical configurations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import inspect
 import json
@@ -142,14 +143,19 @@ def _parse_q(text: str) -> float:
     return math.inf if text == "inf" else float(Fraction(text))
 
 
+def _parse_real(text: str) -> float:
+    """A decimal (nan and inf included) or an exact rational "a/b"."""
+    return float(Fraction(text)) if "/" in text else float(text)
+
+
 def cmd_norm(args) -> int:
     field = fieldio.read_gnf(args.field)
     spec = NormSpec(
         family=NormFamily(args.family),
-        s=float(Fraction(args.s)),
+        s=_parse_real(args.s),
         p=_parse_q(args.p),
         q=_parse_q(args.q),
-        m2=args.m2,
+        m2=_parse_real(args.m2),
         shell_range=tuple(args.shell_range) if args.shell_range else None,
     )
     result = compute_norm(field, spec)
@@ -301,8 +307,9 @@ def cmd_minimize(args) -> int:
     gspec = cfg["grid"]
     grid = make_grid(int(gspec["n"]), int(gspec["points_per_dim"]), float(gspec["box_length"]))
     pspec = cfg["params"]
+    s, m2, beta = (as_exact(pspec[key]) for key in ("s", "m2", "beta"))
     params = EnergyParams(
-        s=float(pspec["s"]), m2=float(pspec["m2"]), beta=float(pspec["beta"]),
+        s=float(s), m2=float(m2), beta=float(beta),
         G=_parse_g(pspec.get("G", "sum_squares")),
     )
     masses = [float(c) for c in cfg["masses"]]
@@ -331,7 +338,7 @@ def cmd_minimize(args) -> int:
     regime = None
     if "cstar" in cfg:
         report = regime_classify(
-            grid.n, params.beta, params.s, params.m2, sum(masses),
+            grid.n, beta, s, m2, sum(masses),
             float(cfg["cstar"]), params.G,
         )
         regime = report.to_json_dict()
@@ -424,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--s", default="0")
     c.add_argument("--p", default="2")
     c.add_argument("--q", default="inf")
-    c.add_argument("--m2", type=float, default=0.0)
+    c.add_argument("--m2", default="0")
     c.add_argument("--shell-range", type=int, nargs=2, default=None)
     c.add_argument("--output")
     c.set_defaults(fn=cmd_norm)
@@ -496,9 +503,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_output_paths(args) -> None:
+    """Raise, before the command does its work, for an --output or --summary
+    path that is a directory or whose parent cannot be created."""
+    for path in filter(None, (getattr(args, "output", None), getattr(args, "summary", None))):
+        path = Path(path)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        ancestor = path.parent
+        while not ancestor.exists():
+            ancestor = ancestor.parent
+        if not ancestor.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(ancestor))
+
+
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.fn(args)
     except (ValueError, TypeError, KeyError, OSError, ZeroDivisionError) as exc:
         print(f"gnlab: {exc}", file=sys.stderr)

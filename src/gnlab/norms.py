@@ -17,13 +17,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .spectral import (
+    Domain,
     Field,
     FracLaplacian,
     Bessel,
     Grid,
+    _cutoff,
+    _irfftn,
     apply_symbol,
-    lowpass_multiplier,
-    shell_multiplier,
     symbol_values,
     to_fourier,
     to_physical,
@@ -99,9 +100,22 @@ def _lp(mag: np.ndarray, p: float, w: float) -> float:
     return float((np.sum(mag ** p) * w) ** (1.0 / p))
 
 
+def _half(hat: Field) -> np.ndarray:
+    """The half lattice [..., :m//2 + 1] of a Fourier field's data."""
+    return hat.data[..., : hat.grid.points_per_dim // 2 + 1]
+
+
+def _magnitude(field: Field) -> np.ndarray:
+    """|f| on the physical grid; a real Fourier-form field is inverted from
+    its half spectrum by irfftn."""
+    if field.domain is Domain.FOURIER and field.is_real:
+        return np.abs(_irfftn(field.grid, _half(field)) / field.grid.quadrature_weight)
+    return np.abs(to_physical(field).data)
+
+
 def lp_norm(field: Field, p: float) -> float:
     """(sum |f|^p w)^(1/p) with w = spacing^n; p = inf is the grid max."""
-    return _lp(np.abs(to_physical(field).data), p, field.grid.quadrature_weight)
+    return _lp(_magnitude(field), p, field.grid.quadrature_weight)
 
 
 def _resolve_shells(grid: Grid, spec: NormSpec) -> range:
@@ -134,17 +148,23 @@ def _lq_reduce(terms: List[float], q: float) -> float:
     return acc ** (1.0 / q)
 
 
-def _shell_stack(hat: Field, specs: Sequence[NormSpec]) -> List[float]:
+def _shell_stack(hat: Field, specs: Sequence[NormSpec], real: bool) -> List[float]:
     """Besov and Triebel values from one pass over the union of their shells.
 
     Besov: l^q over shells of 2^(ks) ||Delta_k f||_p.  Triebel: L^p norm of
     the pointwise l^q aggregate of 2^(ks) |Delta_k f|.  The inhomogeneous
     variants replace shells k <= 0 by the low-pass block (key None), which
     enters with weight 1.  Pieces come low-pass block first, then shells in
-    ascending order; each is freed before the next is built.
+    ascending order; each is freed before the next is built.  A real field's
+    pieces are inverted from the half spectrum by irfftn, a complex field's
+    from the full spectrum by ifftn.
     """
     grid = hat.grid
     w = grid.quadrature_weight
+    if real:
+        data, inverse = _half(hat), lambda x: _irfftn(grid, x)
+    else:
+        data, inverse = hat.data, np.fft.ifftn
     weights = []
     for spec in specs:
         wk = {k: 2.0 ** (k * spec.s) for k in _resolve_shells(grid, spec)}
@@ -152,12 +172,7 @@ def _shell_stack(hat: Field, specs: Sequence[NormSpec]) -> List[float]:
     terms: List[List[float]] = [[] for _ in specs]
     aggs = [np.zeros(grid.shape) if spec.family in _TRIEBEL else None for spec in specs]
     for k in sorted(set().union(*weights), key=lambda k: -math.inf if k is None else k):
-        if k is None:
-            mult = lowpass_multiplier(grid)
-        else:
-            mult = shell_multiplier(grid, k)
-        piece = np.fft.ifftn(hat.data * mult)
-        del mult
+        piece = inverse(data * _cutoff(grid, k, half=real))
         piece /= w
         mag = np.abs(piece)
         del piece
@@ -188,7 +203,9 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     One forward transform (none for a field in Fourier form) serves every
     spec.  Besov and Triebel specs share one inverse transform per distinct
     shell in the union of their shells, not one per spec and shell; each
-    value equals its one-spec value exactly.
+    value equals its one-spec value exactly.  For a real field (see
+    Field.is_real) these inverses, and the one inverse of a Fourier-form
+    field under Lebesgue specs, are real transforms of the half spectrum.
     Lebesgue and Sobolev specs take their direct paths.  Besov and Triebel
     norms of the zero field are 0.
     """
@@ -197,18 +214,19 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
             raise ValueError("triebel_norm requires p < inf")
     values = [0.0] * len(specs)
     families = {spec.family for spec in specs}
-    phys = to_physical(field) if NormFamily.LEBESGUE in families else None
+    w = field.grid.quadrature_weight
+    mag = _magnitude(field) if NormFamily.LEBESGUE in families else None
     hat = to_fourier(field) if families - {NormFamily.LEBESGUE} else None
     stacked = []
     for i, spec in enumerate(specs):
         if spec.family is NormFamily.LEBESGUE:
-            values[i] = lp_norm(phys, spec.p)
+            values[i] = _lp(mag, spec.p, w)
         elif spec.family in _SOBOLEV:
             values[i] = sobolev_norm(hat, spec)
         else:
             stacked.append(i)
     if stacked and np.any(hat.data):
-        shell_values = _shell_stack(hat, [specs[i] for i in stacked])
+        shell_values = _shell_stack(hat, [specs[i] for i in stacked], field.is_real)
         for i, value in zip(stacked, shell_values):
             values[i] = value
     return values

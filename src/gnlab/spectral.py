@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -170,6 +170,25 @@ class Field:
     def with_data(self, data: np.ndarray, domain: Optional[Domain] = None) -> "Field":
         return Field(self.grid, domain or self.domain, data)
 
+    @cached_property
+    def is_real(self) -> bool:
+        """Whether the field is exactly real: zero imaginary part in physical
+        form, equality with its Hermitian mirror in Fourier form.  Decided
+        once, on first use; round-off imaginary parts count as complex."""
+        if self.domain is Domain.PHYSICAL:
+            return not self.data.imag.any()
+        return np.array_equal(self.data, _conjugate_reverse(self.data))
+
+
+def _conjugate_reverse(arr: np.ndarray) -> np.ndarray:
+    """Hermitian mirror conj(a[-k]) of FFT-layout data."""
+    return np.conj(np.roll(np.flip(arr), 1, axis=tuple(range(arr.ndim))))
+
+
+def _irfftn(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """ifftn of a Hermitian spectrum given on its half lattice [..., :m//2 + 1]."""
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.n)))
+
 
 def transform(field: Field, direction: Domain) -> Field:
     """Transform to `direction`; errors if the field is already there."""
@@ -224,8 +243,9 @@ def phi(t: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct lattice radii and, per lattice point, the index of its radius.
+def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct lattice radii and, per lattice point, the index of its radius,
+    on the full lattice and on the half lattice [..., :m//2 + 1].
 
     Radial multipliers are evaluated on the few thousand levels and gathered
     back; the cutoffs are elementwise, so this is bit-identical to evaluating
@@ -233,21 +253,27 @@ def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarra
     """
     levels, inverse = np.unique(_freq_radius(n, m, length), return_inverse=True)
     inverse = inverse.astype(np.int32).reshape((m,) * n)
-    levels.flags.writeable = False
-    inverse.flags.writeable = False
-    return levels, inverse
+    half = np.ascontiguousarray(inverse[..., : m // 2 + 1])
+    for arr in (levels, inverse, half):
+        arr.flags.writeable = False
+    return levels, inverse, half
+
+
+def _cutoff(grid: Grid, k: Optional[int], half: bool = False) -> np.ndarray:
+    """phi(2^-k |xi|), or psi(|xi|) for k None, on the full or the half lattice."""
+    levels, inverse, half_inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
+    values = psi(levels) if k is None else phi(levels * (2.0 ** (-k)))
+    return values[half_inverse if half else inverse]
 
 
 def shell_multiplier(grid: Grid, k: int) -> np.ndarray:
     """phi(2^-k |xi|) on the lattice."""
-    levels, inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
-    return phi(levels * (2.0 ** (-k)))[inverse]
+    return _cutoff(grid, k)
 
 
 def lowpass_multiplier(grid: Grid) -> np.ndarray:
     """psi(|xi|) on the lattice (the inhomogeneous low block)."""
-    levels, inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
-    return psi(levels)[inverse]
+    return _cutoff(grid, None)
 
 
 def _check_shell(grid: Grid, k: int) -> None:

@@ -18,7 +18,17 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .rational import as_fraction
-from .spectral import INNER, OUTER, Domain, Field, Grid, _radius2, phi, to_physical
+from .spectral import (
+    INNER,
+    OUTER,
+    Domain,
+    Field,
+    Grid,
+    _conjugate_reverse,
+    _radius2,
+    phi,
+    to_physical,
+)
 
 
 class FamilyKind(Enum):
@@ -160,10 +170,6 @@ def gaussian(grid: Grid, width: float, center: Optional[Tuple[float, ...]] = Non
     axis = grid.axis_coords()
     r2 = _radius2([(axis - c + L / 2.0) % L - L / 2.0 for c in center])
     return Field(grid, Domain.PHYSICAL, np.exp(-r2 / (2.0 * width ** 2)))
-
-
-def _conjugate_reverse(arr: np.ndarray) -> np.ndarray:
-    return np.conj(np.roll(np.flip(arr), 1, axis=tuple(range(arr.ndim))))
 
 
 def random_band_limited(grid: Grid, k_lo: int, k_hi: int, seed: int) -> Field:

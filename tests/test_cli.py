@@ -165,6 +165,23 @@ class TestFieldCommands:
         assert proc.stdout == ""
         assert "m2 must be finite" in proc.stderr
 
+    def test_rational_m2(self, tmp_path):
+        """--m2 takes "a/b" as --s does."""
+        from gnlab.fieldio import write_gnf
+        from gnlab.spectral import make_grid
+        from gnlab.testfuncs import gaussian
+
+        field = tmp_path / "g.gnf"
+        write_gnf(field, gaussian(make_grid(1, 512, 40.0), 1.5))
+        docs = []
+        for m2 in ("1/2", "0.5"):
+            proc = run_cli(["norm", "--field", str(field), "--family", "BesselSobolev",
+                            "--s", "1/2", "--m2", m2], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            docs.append(json.loads(proc.stdout))
+        assert docs[0] == docs[1]
+        assert docs[0]["value"] > 0
+
     def test_invalid_family_exit_2(self, tmp_path):
         proc = run_cli(
             ["family", "--kind", "EpsBumpTrain", "--n", "1", "--points", "256",
@@ -264,6 +281,24 @@ class TestMinimizeCommand:
         assert proc.stdout == ""
 
 
+    def test_exact_rational_params(self, tmp_path):
+        """s, m2 and beta take "a/b" and reach the regime decision exactly:
+        n = 1, beta = 1/3, s = 1/3 = (n - beta)/2 is critical, which the
+        floats 0.333... would miss."""
+        cfg = {
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 16.0},
+            "params": {"s": "1/3", "m2": "0", "beta": "1/3"},
+            "masses": [1.0],
+            "options": {"max_iters": 3},
+            "cstar": 1.0,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        assert proc.returncode in (0, 3), proc.stderr
+        assert json.loads(proc.stdout)["regime"]["case"] == "critical-massless"
+
+
 class TestRegimesCommand:
     def test_supercritical_report(self, tmp_path):
         proc = run_cli(
@@ -357,6 +392,32 @@ class TestCStarCommand:
                             "--box-length", "12"], tmp_path)
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["cstar"] == 0.5
+
+
+class TestOutputPaths:
+    """An unusable --output or --summary exits 2 before any work is done."""
+
+    def _no_work(self, *args, **kwargs):
+        raise AssertionError("the command ran its work before checking its output path")
+
+    @pytest.mark.parametrize("flag", ["--output", "--summary"])
+    def test_directory_output_fails_fast(self, tmp_path, monkeypatch, flag):
+        monkeypatch.setattr(cli, "estimate_cstar", self._no_work)
+        monkeypatch.setattr(cli, "run_regression", self._no_work)
+        args = {
+            "--output": ["cstar", "--n", "3", "--beta", "2", "--points", "16",
+                         "--box-length", "12", "--no-cache"],
+            "--summary": ["harness", "--suite", "regression", "--checks-only"],
+        }[flag]
+        assert cli.main(args + [flag, str(tmp_path)]) == 2
+
+    def test_parent_under_a_file_fails_fast(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "estimate_cstar", self._no_work)
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("")
+        out = blocker / "sub" / "out.json"
+        assert cli.main(["cstar", "--n", "3", "--beta", "2", "--points", "16",
+                         "--box-length", "12", "--no-cache", "--output", str(out)]) == 2
 
 
 class TestCanonicalJson:

@@ -295,6 +295,84 @@ class TestNormValues:
             norm_values(f, self.MIXED + [bspec(0.0, 2.0, 2.0, shell_range=(0, 40))])
 
 
+def _hermitian_field(n, m, seed):
+    """Fourier-form field with i.i.d. Hermitian-symmetrized data on the whole
+    lattice, so the zero and Nyquist planes of the last axis carry content."""
+    from gnlab.spectral import _conjugate_reverse
+
+    g = make_grid(n, m, 4 * math.pi)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    return Field(g, Domain.FOURIER, 0.5 * (data + _conjugate_reverse(data)))
+
+
+def _lp_reference(f, p):
+    """The L^p norm through the complex inverse transform."""
+    w = f.grid.quadrature_weight
+    mag = np.abs(f.data if f.domain is Domain.PHYSICAL else np.fft.ifftn(f.data) / w)
+    if math.isinf(p):
+        return float(mag.max())
+    return float((np.sum(mag ** p) * w) ** (1.0 / p))
+
+
+class TestRealPath:
+    """Real fields take irfftn on the half spectrum; complex fields keep the
+    complex path bit for bit."""
+
+    @staticmethod
+    def specs(g):
+        lo, hi = g.shell_bounds  # the top guard shell reaches the Nyquist planes
+        return [
+            NormSpec(NormFamily.HOMOG_BESOV, 0.5, 2.0, 2.0, shell_range=(lo, hi)),
+            NormSpec(NormFamily.HOMOG_BESOV, -0.5, 3.0, math.inf, shell_range=(lo, hi)),
+            NormSpec(NormFamily.INHOMOG_BESOV, 1.0, 1.5, 1.0, shell_range=(1, hi)),
+            NormSpec(NormFamily.HOMOG_TRIEBEL, 0.25, 4.0, 2.0, shell_range=(lo, hi)),
+            NormSpec(NormFamily.HOMOG_TRIEBEL, 0.5, 2.0, math.inf, shell_range=(lo, hi)),
+            NormSpec(NormFamily.INHOMOG_TRIEBEL, -0.25, 1.5, math.inf, shell_range=(1, hi)),
+            NormSpec(NormFamily.INHOMOG_TRIEBEL, 0.5, 3.0, 0.75),
+            NormSpec(NormFamily.LEBESGUE, 0.0, 4.0),
+            NormSpec(NormFamily.LEBESGUE, 0.0, math.inf),
+        ]
+
+    @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64), (3, 32)])
+    def test_real_fields_match_complex_reference(self, n, m):
+        hat = _hermitian_field(n, m, seed=11)
+        g = hat.grid
+        planes = hat.data[..., [0, m // 2]]
+        assert np.all(np.abs(planes) > 0)
+        phys = Field(g, Domain.PHYSICAL, to_physical(hat).data.real)
+        for f in (hat, phys):
+            assert f.is_real
+            specs = self.specs(g)
+            values = norm_values(f, specs)
+            for spec, value in zip(specs, values):
+                if spec.family is NormFamily.LEBESGUE:
+                    ref = _lp_reference(f, spec.p)
+                else:
+                    ref = _reference_shell_norm(f, spec)
+                assert value == pytest.approx(ref, rel=1e-12, abs=0), spec
+            assert [lp_norm(f, 4.0)] == values[7:8]
+
+    @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64), (3, 32)])
+    def test_complex_fields_unchanged(self, n, m):
+        from gnlab.testfuncs import FamilyKind, LacunaryFamily, build_family
+
+        hat = _hermitian_field(n, m, seed=12)
+        g = hat.grid
+        skew = hat.with_data(hat.data * (1.0 + 0.5j))
+        train = build_family(LacunaryFamily(FamilyKind.EPS_BUMP_TRAIN, n, 1, j0=3), g)
+        for f in (skew, to_physical(skew), train, to_physical(hat)):
+            assert not f.is_real
+            specs = self.specs(g)
+            values = norm_values(f, specs)
+            for spec, value in zip(specs, values):
+                if spec.family is NormFamily.LEBESGUE:
+                    ref = _lp_reference(f, spec.p)
+                else:
+                    ref = _reference_shell_norm(f, spec)
+                assert value == ref, spec
+
+
 class TestNormSpec:
     @pytest.mark.parametrize("name,value", [
         ("p", 0.0), ("p", -1.0), ("p", math.nan), ("q", 0.0), ("q", -2.0), ("q", math.nan),

@@ -143,6 +143,50 @@ class TestMultipliers:
         assert np.array_equal(lowpass_multiplier(g), psi(r))
 
 
+class TestHalfLattice:
+    @pytest.mark.parametrize("n,m", [(1, 2 ** 16), (2, 256), (3, 64)])
+    def test_half_gather_is_the_full_gather_sliced(self, n, m):
+        from gnlab.spectral import _cutoff
+
+        g = make_grid(n, m, 4 * math.pi)
+        lo, hi = g.shell_bounds
+        for k in [None, *range(lo, hi + 1)]:
+            half = _cutoff(g, k, half=True)
+            assert half.flags.c_contiguous
+            assert np.array_equal(half, _cutoff(g, k)[..., : m // 2 + 1])
+
+
+class TestRealness:
+    """Field.is_real: exact, decided once, not settable."""
+
+    def test_real_cases(self):
+        assert gaussian(make_grid(3, 32, 16.0), 2.0).is_real
+        g = make_grid(3, 16, 4 * math.pi)
+        hat = random_band_limited(g, g.k_min, g.k_max, seed=5)
+        assert hat.is_real
+
+    def test_complex_cases(self):
+        from gnlab.testfuncs import FamilyKind, LacunaryFamily, build_family
+
+        g = make_grid(3, 32, 4 * math.pi)
+        phys = to_physical(random_band_limited(g, g.k_min, g.k_max, seed=5))
+        assert phys.data.imag.any()  # round-off imaginary parts
+        assert not phys.is_real
+        train = build_family(LacunaryFamily(FamilyKind.EPS_BUMP_TRAIN, 3, 1, j0=3), g)
+        assert not train.is_real  # one-sided bumps
+        assert not plane_wave(g, (1.0, 0.0, 0.0)).is_real
+
+    def test_decided_once_and_not_settable(self):
+        import dataclasses
+
+        g = make_grid(1, 64, 4 * math.pi)
+        f = random_band_limited(g, g.k_min, g.k_max, seed=1)
+        assert f.is_real is f.is_real
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.is_real = False
+        assert f.is_real
+
+
 class TestDyadicProject:
     def test_plane_wave_in_flat_band_unchanged(self):
         g = make_grid(1, 2048, 4 * math.pi)
