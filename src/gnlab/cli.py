@@ -139,13 +139,15 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _parse_q(text: str) -> float:
-    return math.inf if text == "inf" else float(Fraction(text))
-
-
 def _parse_real(text: str) -> float:
-    """A decimal (nan and inf included) or an exact rational "a/b"."""
-    return float(Fraction(text)) if "/" in text else float(text)
+    """A decimal (nan and inf included; too large reads as inf) or an exact
+    rational "a/b", which must fit a float."""
+    if "/" not in text:
+        return float(text)
+    try:
+        return float(Fraction(text))
+    except OverflowError:
+        raise ValueError(f"{text!r} is too large for a float") from None
 
 
 def cmd_norm(args) -> int:
@@ -153,8 +155,8 @@ def cmd_norm(args) -> int:
     spec = NormSpec(
         family=NormFamily(args.family),
         s=_parse_real(args.s),
-        p=_parse_q(args.p),
-        q=_parse_q(args.q),
+        p=_parse_real(args.p),
+        q=_parse_real(args.q),
         m2=_parse_real(args.m2),
         shell_range=tuple(args.shell_range) if args.shell_range else None,
     )
@@ -404,7 +406,7 @@ def cmd_regimes(args) -> int:
         grid = make_grid(args.n, args.points, args.box_length)
         cstar = cstar_cached(args.n, args.beta, grid)
     else:
-        cstar = float(args.cstar)
+        cstar = _parse_real(args.cstar)
     report = regime_classify(
         args.n, args.beta, args.s, args.m2, float(args.c), cstar, _parse_g(args.g)
     )

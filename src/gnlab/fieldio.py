@@ -48,6 +48,8 @@ def read_gnf(path: Union[str, Path]) -> Field:
         if len(blob) != hlen:
             raise ValueError(f"{path}: truncated header")
         header = json.loads(blob.decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
         if header.get("dtype") != "c128":
             raise ValueError(f"{path}: unsupported dtype {header.get('dtype')!r}")
         grid = Grid(int(header["n"]), int(header["points_per_dim"]), float(header["box_length"]))

@@ -23,7 +23,7 @@ from .spectral import (
     Bessel,
     Grid,
     _cutoff,
-    _irfftn,
+    _spectrum,
     apply_symbol,
     symbol_values,
     to_fourier,
@@ -100,17 +100,13 @@ def _lp(mag: np.ndarray, p: float, w: float) -> float:
     return float((np.sum(mag ** p) * w) ** (1.0 / p))
 
 
-def _half(hat: Field) -> np.ndarray:
-    """The half lattice [..., :m//2 + 1] of a Fourier field's data."""
-    return hat.data[..., : hat.grid.points_per_dim // 2 + 1]
-
-
 def _magnitude(field: Field) -> np.ndarray:
     """|f| on the physical grid; a real Fourier-form field is inverted from
     its half spectrum by irfftn."""
-    if field.domain is Domain.FOURIER and field.is_real:
-        return np.abs(_irfftn(field.grid, _half(field)) / field.grid.quadrature_weight)
-    return np.abs(to_physical(field).data)
+    if field.domain is Domain.PHYSICAL:
+        return np.abs(field.data)
+    data, inverse = _spectrum(field, field.is_real)
+    return np.abs(inverse(data) / field.grid.quadrature_weight)
 
 
 def lp_norm(field: Field, p: float) -> float:
@@ -161,10 +157,7 @@ def _shell_stack(hat: Field, specs: Sequence[NormSpec], real: bool) -> List[floa
     """
     grid = hat.grid
     w = grid.quadrature_weight
-    if real:
-        data, inverse = _half(hat), lambda x: _irfftn(grid, x)
-    else:
-        data, inverse = hat.data, np.fft.ifftn
+    data, inverse = _spectrum(hat, real)
     weights = []
     for spec in specs:
         wk = {k: 2.0 ** (k * spec.s) for k in _resolve_shells(grid, spec)}

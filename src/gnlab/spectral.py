@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -190,6 +190,26 @@ def _irfftn(grid: Grid, half: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.n)))
 
 
+def _spectrum(hat: Field, real: bool):
+    """(data, inverse) for inverting the Fourier field hat: its half spectrum
+    (the rest is its Hermitian mirror) and irfftn if it is real, its full
+    spectrum and ifftn otherwise.  Neither divides by the quadrature weight."""
+    if real:
+        return hat.data[..., : hat.grid.points_per_dim // 2 + 1], partial(_irfftn, hat.grid)
+    return hat.data, np.fft.ifftn
+
+
+def _form(grid: Grid, raw: np.ndarray, w: np.ndarray) -> float:
+    """(1/L^n) sum w |f^|^2 over the full lattice, from the half spectrum
+    raw = rfftn(f).  The mirror of an interior plane of the last axis is
+    absent from raw, so those planes count twice; the planes 0 and m/2 are
+    their own mirrors (m is even) and count once."""
+    hat = raw * grid.quadrature_weight
+    p = w * np.abs(hat) ** 2
+    total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
+    return float(total / grid.box_length ** grid.n)
+
+
 def transform(field: Field, direction: Domain) -> Field:
     """Transform to `direction`; errors if the field is already there."""
     if field.domain == direction:
@@ -248,7 +268,7 @@ def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarra
     on the full lattice and on the half lattice [..., :m//2 + 1].
 
     Radial multipliers are evaluated on the few thousand levels and gathered
-    back; the cutoffs are elementwise, so this is bit-identical to evaluating
+    back (_radial); they are elementwise, so this is bit-identical to evaluating
     them on the full radius array.
     """
     levels, inverse = np.unique(_freq_radius(n, m, length), return_inverse=True)
@@ -259,11 +279,16 @@ def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarra
     return levels, inverse, half
 
 
+def _radial(grid: Grid, fn, half: bool = False) -> np.ndarray:
+    """fn(|xi|), evaluated on the distinct radii of _radius_levels and gathered
+    onto the full lattice or the half lattice [..., :m//2 + 1]."""
+    levels, inverse, half_inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
+    return fn(levels)[half_inverse if half else inverse]
+
+
 def _cutoff(grid: Grid, k: Optional[int], half: bool = False) -> np.ndarray:
     """phi(2^-k |xi|), or psi(|xi|) for k None, on the full or the half lattice."""
-    levels, inverse, half_inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
-    values = psi(levels) if k is None else phi(levels * (2.0 ** (-k)))
-    return values[half_inverse if half else inverse]
+    return _radial(grid, psi if k is None else lambda r: phi(r * (2.0 ** (-k))), half)
 
 
 def shell_multiplier(grid: Grid, k: int) -> np.ndarray:
@@ -374,30 +399,33 @@ def zero_mode_fraction(field: Field) -> float:
         return 0.0
     return float(np.abs(hat.data.flat[0])) / total
 
-def symbol_values(grid: Grid, symbol: Symbol) -> np.ndarray:
-    r = grid.freq_radius()
-    if isinstance(symbol, FracLaplacian):
-        s = float(symbol.s)
-        if s == 0:
-            return np.ones_like(r)
-        with np.errstate(divide="ignore"):
-            vals = np.where(r > 0, r, 1.0) ** s
-        vals.flat[0] = 0.0
-        return vals
+
+def symbol_values(grid: Grid, symbol: Symbol, half: bool = False) -> np.ndarray:
+    """The multiplier of `symbol` on the full lattice, or on the half lattice
+    of a real field's spectrum; evaluated on the distinct radii and gathered."""
     if isinstance(symbol, Bessel):
         if symbol.m2 < 0:
             raise ValueError("Bessel symbol needs m^2 >= 0")
-        if symbol.m2 == 0:
-            return symbol_values(grid, FracLaplacian(symbol.s))
-        return (symbol.m2 + r ** 2) ** (float(symbol.s) / 2.0)
-    if isinstance(symbol, RieszPotential):
+        if symbol.m2 != 0:
+            return _radial(grid, lambda r: (symbol.m2 + r ** 2) ** (float(symbol.s) / 2.0), half)
+        symbol = FracLaplacian(symbol.s)
+    if isinstance(symbol, FracLaplacian):
+        power = float(symbol.s)
+        if power == 0:
+            return _radial(grid, np.ones_like, half)
+    elif isinstance(symbol, RieszPotential):
         beta = float(symbol.beta)
         if not (0 < beta < grid.n):
             raise ValueError(f"beta must lie in (0, n); got {beta} with n={grid.n}")
-        vals = np.where(r > 0, r, 1.0) ** (-beta)
-        vals.flat[0] = 0.0
+        power = -beta
+    else:
+        raise TypeError(f"unknown symbol {symbol!r}")
+
+    def fn(r):  # r^power, with the zero mode r[0] = 0 mapped to 0
+        vals = np.where(r > 0, r, 1.0) ** power
+        vals[0] = 0.0
         return vals
-    raise TypeError(f"unknown symbol {symbol!r}")
+    return _radial(grid, fn, half)
 
 
 def apply_symbol(field: Field, symbol: Symbol) -> Field:

@@ -31,7 +31,10 @@ from .spectral import (
     FracLaplacian,
     Grid,
     RieszPotential,
+    _form,
+    _irfftn,
     _mesh,
+    _radial,
     riesz_constant,
     symbol_values,
     to_physical,
@@ -137,8 +140,8 @@ class MultiField:
             comps.append(Field(grid, Domain.PHYSICAL, np.maximum(vals, 0.0).astype(np.complex128)))
         if len(self.masses) != len(comps):
             raise ValueError("one target mass per component")
-        if any(c <= 0 for c in self.masses):
-            raise ValueError("target masses must be positive")
+        if not all(0 < c < math.inf for c in self.masses):
+            raise ValueError("target masses must be positive and finite")
         object.__setattr__(self, "components", tuple(comps))
         object.__setattr__(self, "masses", tuple(float(c) for c in self.masses))
 
@@ -172,42 +175,16 @@ def mass(grid: Grid, f: np.ndarray) -> float:
     return _inner(grid, f, f)
 
 
-# Every field here is real, so every spectrum is a half spectrum
-# rfftn(f): the last axis keeps the planes 0..m/2, and the rest of the
-# lattice is their Hermitian mirror.  Symbols are radial, hence even, and
-# are sliced to the same half lattice.
-
-
-def _half(w: np.ndarray) -> np.ndarray:
-    """A full-lattice symbol restricted to the half lattice of rfftn."""
-    return np.ascontiguousarray(w[..., : w.shape[-1] // 2 + 1])
-
-
-def _irfft(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    return np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(grid.n)))
-
-
-def _form(grid: Grid, raw: np.ndarray, w: np.ndarray) -> float:
-    """(1/L^n) sum w |f^|^2 over the full lattice, from the half spectrum
-    raw = rfftn(f).  The mirror of an interior plane of the last axis is
-    absent from raw, so those planes count twice; the planes 0 and m/2 are
-    their own mirrors (m is even) and count once."""
-    hat = raw * grid.quadrature_weight
-    p = w * np.abs(hat) ** 2
-    total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
-    return float(total / grid.box_length ** grid.n)
-
-
 def _quad_form(grid: Grid, arr: np.ndarray, s: float, m2: float) -> float:
     """(1/L^n) sum (m^2 + |xi|^2)^s |f^|^2 (the squared s-energy norm)."""
-    return _form(grid, np.fft.rfftn(arr), _half(symbol_values(grid, Bessel(2.0 * s, m2))))
+    return _form(grid, np.fft.rfftn(arr), symbol_values(grid, Bessel(2.0 * s, m2), half=True))
 
 
 def _energy_symbols(grid: Grid, params: EnergyParams) -> Tuple[np.ndarray, np.ndarray]:
     """Symbols of the quadratic form and of V (which checks beta), built once per solve."""
     return (
-        _half(symbol_values(grid, Bessel(2.0 * params.s, params.m2))),
-        _half(symbol_values(grid, RieszPotential(params.beta))),
+        symbol_values(grid, Bessel(2.0 * params.s, params.m2), half=True),
+        symbol_values(grid, RieszPotential(params.beta), half=True),
     )
 
 
@@ -228,9 +205,9 @@ def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> L
     """L^2 gradient (m^2 - Lap)^s u_i - 2 (V * G(u)) dG/dv_i from the spectra
     of _evaluate at the same point: L + 1 inverse FFTs."""
     w_quad, w_riesz = symbols
-    conv = riesz_constant(grid.n, params.beta) * _irfft(grid, g_hat * w_riesz)
+    conv = riesz_constant(grid.n, params.beta) * _irfftn(grid, g_hat * w_riesz)
     return [
-        _irfft(grid, w_quad * hat) - 2.0 * conv * g_partial(params.G, arrs, i)
+        _irfftn(grid, w_quad * hat) - 2.0 * conv * g_partial(params.G, arrs, i)
         for i, hat in enumerate(hats)
     ]
 
@@ -238,7 +215,7 @@ def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> L
 def upsilon_beta(u: MultiField, beta: float) -> float:
     """Interaction functional of the total density |u|^2 = sum u_i^2."""
     grid = u.grid
-    w = _half(symbol_values(grid, RieszPotential(beta)))
+    w = symbol_values(grid, RieszPotential(beta), half=True)
     rho = sum(arr ** 2 for arr in u.arrays())
     return riesz_constant(grid.n, beta) * _form(grid, np.fft.rfftn(rho), w)
 
@@ -365,7 +342,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     """
     grid, masses = u0.grid, u0.masses
     symbols = _energy_symbols(grid, params)
-    pre = _half(symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0))))
+    pre = symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0)), half=True)
     arrs = _project(grid, u0.arrays(), masses)
     e, hats, g_hat = _evaluate(grid, arrs, params, symbols)
     if math.isnan(e):
@@ -377,7 +354,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     for it in range(1, options.max_iters + 1):
         grads = _gradient(grid, arrs, params, symbols, hats, g_hat)
         tangents = [g - (_inner(grid, g, a) / c) * a for g, a, c in zip(grads, arrs, masses)]
-        dirs = [_irfft(grid, pre * np.fft.rfftn(t)) for t in tangents]
+        dirs = [_irfftn(grid, pre * np.fft.rfftn(t)) for t in tangents]
         slope = sum(_inner(grid, t, d) for t, d in zip(tangents, dirs))
         if slope <= 0:
             dirs = tangents
@@ -467,8 +444,8 @@ def _ascent_eval(grid: Grid, arr: np.ndarray, beta: float, w_hs: np.ndarray, w_r
 
 
 def _quotient(grid: Grid, arr: np.ndarray, beta: float, s: float) -> float:
-    w_hs = _half(symbol_values(grid, FracLaplacian(2.0 * s)))
-    w_riesz = _half(symbol_values(grid, RieszPotential(beta)))
+    w_hs = symbol_values(grid, FracLaplacian(2.0 * s), half=True)
+    w_riesz = symbol_values(grid, RieszPotential(beta), half=True)
     return _ascent_eval(grid, arr, beta, w_hs, w_riesz)[0]
 
 
@@ -487,9 +464,9 @@ def estimate_cstar(
     """
     if grid.n != n:
         raise ValueError("grid dimension mismatch")
-    w_riesz = _half(symbol_values(grid, RieszPotential(beta)))
+    w_riesz = symbol_values(grid, RieszPotential(beta), half=True)
     s = (n - beta) / 2.0
-    w_hs = _half(symbol_values(grid, FracLaplacian(2.0 * s)))
+    w_hs = symbol_values(grid, FracLaplacian(2.0 * s), half=True)
     starts: List[np.ndarray] = []
     r2 = grid.coord_radius2()
     for frac in (8.0, 12.0, 20.0):
@@ -509,9 +486,9 @@ def estimate_cstar(
             a, b, ups, hat, rho_hat = state
             if ups <= 0 or b <= 0:
                 break
-            conv = riesz_constant(grid.n, beta) * _irfft(grid, rho_hat * w_riesz)
+            conv = riesz_constant(grid.n, beta) * _irfftn(grid, rho_hat * w_riesz)
             grad_ups = 4.0 * conv * arr
-            grad_b = 2.0 * _irfft(grid, w_hs * hat)
+            grad_b = 2.0 * _irfftn(grid, w_hs * hat)
             d = grad_ups / ups - (2.0 / a) * arr - grad_b / b
             dn = math.sqrt(mass(grid, d))
             if dn < 1e-14:
@@ -561,16 +538,15 @@ def scaling_profile(u: MultiField, params: EnergyParams, lambdas: Sequence[float
     """
     grid = u.grid
     d = g_degree(params.G)
-    w_riesz = _half(symbol_values(grid, RieszPotential(params.beta)))
+    w_riesz = symbol_values(grid, RieszPotential(params.beta), half=True)
     g_hat = np.fft.rfftn(g_value(params.G, u.arrays()))
     inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz)
-    r = _half(grid.freq_radius())
     hats = [np.fft.rfftn(a) for a in u.arrays()]
     energies = []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        w = (params.m2 + (lam * r) ** 2) ** params.s
+        w = _radial(grid, lambda r: (params.m2 + (lam * r) ** 2) ** params.s, half=True)
         quad = sum(_form(grid, h, w) for h in hats)
         energies.append(0.5 * quad - lam ** (d * grid.n - grid.n - params.beta) * inter)
     exponent = _tail_exponent(list(lambdas), energies)
@@ -635,12 +611,13 @@ def regime_classify(
     cstar is the (estimated) sharp interaction constant; the mass threshold
     is 1/(2 cstar).  Comparisons against the threshold are floats with a
     1e-9 relative tolerance, and reports near the threshold are flagged as
-    estimate-limited.
+    estimate-limited.  A mass c or a cstar that is not positive and finite
+    is out of scope.
     """
     n, beta, s, m2 = (as_exact(x) for x in (n, beta, s, m2))
     if not (0 < beta < n):
         return RegimeReport(Regime.OUT_OF_SCOPE, "invalid", note="beta outside (0, n)")
-    if s <= 0 or c <= 0 or cstar <= 0 or m2 < 0:
+    if s <= 0 or m2 < 0 or not (0 < c < math.inf and 0 < cstar < math.inf):
         return RegimeReport(Regime.OUT_OF_SCOPE, "invalid", note="parameters out of range")
     s_crit = (n - beta) / 2
 

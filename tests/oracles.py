@@ -114,3 +114,21 @@ def dilate_reference(data: np.ndarray, physical: bool, L: float, log2_lambda: in
     keep = np.all(np.abs(kk[idx]) < M / (2.0 * stride), axis=0)
     out = np.where(keep, src[gather], 0.0) * (lam ** (a - n))
     return np.fft.ifftn(out) / w if physical else out
+
+
+def pointwise_symbol(r: np.ndarray, symbol) -> np.ndarray:
+    """A spectral symbol (FracLaplacian, Bessel or RieszPotential) evaluated
+    at every point of the radius array r, whose first entry is the zero
+    mode: the full-lattice formulas, with no table of distinct radii."""
+    kind = type(symbol).__name__
+    if kind == "Bessel" and symbol.m2 != 0:
+        return (symbol.m2 + r ** 2) ** (float(symbol.s) / 2.0)
+    if kind == "RieszPotential":
+        vals = np.where(r > 0, r, 1.0) ** (-float(symbol.beta))
+    elif float(symbol.s) == 0:
+        return np.ones_like(r)
+    else:
+        with np.errstate(divide="ignore"):
+            vals = np.where(r > 0, r, 1.0) ** float(symbol.s)
+    vals.flat[0] = 0.0
+    return vals

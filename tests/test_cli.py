@@ -149,6 +149,49 @@ class TestFieldCommands:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_huge_exponent_reads_as_inf(self, tmp_path, flag):
+        """1e400 reads as inf, as float() reads it; it used to end in an
+        OverflowError traceback with exit 1."""
+        from gnlab.fieldio import write_gnf
+        from gnlab.spectral import make_grid
+        from gnlab.testfuncs import gaussian
+
+        field = tmp_path / "g.gnf"
+        write_gnf(field, gaussian(make_grid(1, 512, 40.0), 1.5))
+        docs = []
+        for value in ("1e400", "inf"):
+            proc = run_cli(["norm", "--field", str(field), "--family", "HomogBesov",
+                            flag, value], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            docs.append(proc.stdout)
+        assert docs[0] == docs[1]
+
+    def test_rational_too_large_exit_2(self, tmp_path):
+        from gnlab.fieldio import write_gnf
+        from gnlab.spectral import make_grid
+        from gnlab.testfuncs import gaussian
+
+        field = tmp_path / "g.gnf"
+        write_gnf(field, gaussian(make_grid(1, 512, 40.0), 1.5))
+        proc = run_cli(["norm", "--field", str(field), "--family", "HomogBesov",
+                        "--p", "1" + "0" * 400 + "/3"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "too large for a float" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_object_header_exit_2(self, tmp_path):
+        import struct
+
+        from gnlab.fieldio import MAGIC
+
+        field = tmp_path / "h.gnf"
+        field.write_bytes(MAGIC + struct.pack("<I", 6) + b"[1, 2]")
+        proc = run_cli(["norm", "--field", str(field), "--family", "Lebesgue"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "header is not a JSON object" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_nonfinite_m2_exit_2(self, tmp_path):
         from gnlab.fieldio import write_gnf
         from gnlab.spectral import make_grid
@@ -299,6 +342,21 @@ class TestMinimizeCommand:
         assert json.loads(proc.stdout)["regime"]["case"] == "critical-massless"
 
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_nonfinite_mass_exit_2(self, tmp_path, bad):
+        """A NaN or infinite mass used to pass MultiField and end as a
+        numerical failure (exit 3)."""
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"grid": {"n": 1, "points_per_dim": 64, "box_length": 16.0}, '
+            '"params": {"s": 1, "m2": 0, "beta": 0.5}, "masses": [%s]}' % bad
+        )
+        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "positive and finite" in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestRegimesCommand:
     def test_supercritical_report(self, tmp_path):
         proc = run_cli(
@@ -321,6 +379,35 @@ class TestRegimesCommand:
         doc = json.loads(proc.stdout)
         assert doc["case"] == "critical-massless"
         assert doc["regime"] == "MinusInfinity"  # c = 1 > 1/(2 cstar)
+
+    def test_rational_cstar(self, tmp_path):
+        docs = []
+        for cstar in ("1/2", "0.5"):
+            proc = run_cli(
+                ["regimes", "--n", "3", "--beta", "1", "--s", "1", "--m2", "0",
+                 "--c", "1", "--cstar", cstar],
+                tmp_path,
+            )
+            assert proc.returncode == 0, proc.stderr
+            docs.append(json.loads(proc.stdout))
+        assert docs[0] == docs[1]
+        assert docs[0]["cstar"] == 0.5
+        assert docs[0]["critical_mass"] == 1.0
+
+    @pytest.mark.parametrize("cstar", ["nan", "inf", "1e400"])
+    def test_nonfinite_cstar_out_of_scope(self, tmp_path, cstar):
+        """cstar = nan used to read as NoMinimizer with a NaN critical mass,
+        cstar = inf as MinusInfinity with critical mass 0."""
+        proc = run_cli(
+            ["regimes", "--n", "3", "--beta", "1", "--s", "1", "--m2", "0",
+             "--c", "1", "--cstar", cstar],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["regime"] == "OutOfScope"
+        assert doc["note"] == "parameters out of range"
+        assert doc["critical_mass"] is None
 
     def test_cstar_auto_uses_cache(self, tmp_path):
         args = ["regimes", "--n", "3", "--beta", "2", "--s", "1", "--m2", "0",
@@ -418,6 +505,22 @@ class TestOutputPaths:
         out = blocker / "sub" / "out.json"
         assert cli.main(["cstar", "--n", "3", "--beta", "2", "--points", "16",
                          "--box-length", "12", "--no-cache", "--output", str(out)]) == 2
+
+
+class TestReadmeExamples:
+    def test_command_line_block_parses(self):
+        """Every gnlab line of README's "Command line" block, continuations
+        joined, is accepted by the parser."""
+        import pathlib
+        import shlex
+
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        lines = [ln.strip() for ln in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(ln) for ln in lines if ln.startswith("gnlab ")]
+        assert len(commands) >= 12
+        for words in commands:
+            cli.build_parser().parse_args(words[1:])
 
 
 class TestCanonicalJson:

@@ -143,10 +143,21 @@ class TestMultipliers:
         assert np.array_equal(lowpass_multiplier(g), psi(r))
 
 
+SYMBOLS = [
+    FracLaplacian(0),
+    FracLaplacian(1.5),
+    FracLaplacian(-2.0),
+    Bessel(2.0, 0.0),
+    Bessel(-2.0, 1.0),
+    Bessel(1.5, 0.5),
+    RieszPotential(0.5),
+]
+
+
 class TestHalfLattice:
     @pytest.mark.parametrize("n,m", [(1, 2 ** 16), (2, 256), (3, 64)])
     def test_half_gather_is_the_full_gather_sliced(self, n, m):
-        from gnlab.spectral import _cutoff
+        from gnlab.spectral import _cutoff, symbol_values
 
         g = make_grid(n, m, 4 * math.pi)
         lo, hi = g.shell_bounds
@@ -154,6 +165,24 @@ class TestHalfLattice:
             half = _cutoff(g, k, half=True)
             assert half.flags.c_contiguous
             assert np.array_equal(half, _cutoff(g, k)[..., : m // 2 + 1])
+        for sym in SYMBOLS:
+            half = symbol_values(g, sym, half=True)
+            assert half.flags.c_contiguous
+            assert np.array_equal(half, symbol_values(g, sym)[..., : m // 2 + 1])
+
+    @pytest.mark.parametrize("n,m,L", [(1, 2 ** 16, 4 * math.pi), (2, 256, 4 * math.pi),
+                                       (3, 64, 4 * math.pi), (3, 32, 7.3)])
+    def test_symbols_equal_pointwise_evaluation(self, n, m, L):
+        """Symbols gathered from the radius levels equal the symbol
+        formulas evaluated at every lattice point, zero mode included."""
+        from oracles import pointwise_symbol
+
+        from gnlab.spectral import symbol_values
+
+        g = make_grid(n, m, L)
+        r = g.freq_radius()
+        for sym in SYMBOLS:
+            assert np.array_equal(symbol_values(g, sym), pointwise_symbol(r, sym)), sym
 
 
 class TestRealness:
@@ -398,4 +427,15 @@ class TestGNF1:
         write_gnf(path, Field(g, Domain.PHYSICAL, np.ones(16)))
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match="truncated header"):
+            read_gnf(path)
+
+    @pytest.mark.parametrize("header", [b"[1, 2]", b"3", b'"n"', b"null"])
+    def test_non_object_header_rejected(self, tmp_path, header):
+        import struct
+
+        from gnlab.fieldio import MAGIC
+
+        path = tmp_path / "h.gnf"
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(ValueError, match="header is not a JSON object"):
             read_gnf(path)

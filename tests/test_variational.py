@@ -232,8 +232,7 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("n,m,box,beta", CASES)
     def test_form_folds_edge_planes_once(self, n, m, box, beta):
-        from gnlab.spectral import Bessel, RieszPotential, symbol_values
-        from gnlab.variational import _form, _half
+        from gnlab.spectral import Bessel, RieszPotential, _form, symbol_values
 
         grid = make_grid(n, m, box)
         f = self.edge_heavy(grid, 5)
@@ -241,7 +240,7 @@ class TestHalfSpectrum:
         for symbol in (Bessel(1.5, 0.5), RieszPotential(beta)):
             w = symbol_values(grid, symbol)
             expected = float(np.sum(w * np.abs(full) ** 2)) / box ** n
-            got = _form(grid, np.fft.rfftn(f), _half(w))
+            got = _form(grid, np.fft.rfftn(f), symbol_values(grid, symbol, half=True))
             assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n,m,box,beta", CASES)
@@ -374,6 +373,13 @@ class TestMinimize:
         for a, b in zip(res.energy_trace, res.energy_trace[1:]):
             assert b <= a
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_masses_must_be_positive_and_finite(self, bad):
+        grid = make_grid(1, 64, 8.0)
+        comp = positive_random_field(grid, 1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            MultiField((comp, comp), (1.0, bad))
+
     def test_nan_detected(self):
         grid = make_grid(1, 64, 8.0)
         params = EnergyParams(s=1.0, m2=0.0, beta=0.5, G=sum_squares())
@@ -483,6 +489,16 @@ class TestRegimes:
     def test_out_of_scope_parameters(self):
         rep = regime_classify(3, 3.5, 1.0, 0.0, 1.0, 1.0, sum_squares())
         assert rep.regime is Regime.OUT_OF_SCOPE
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_mass_or_cstar_out_of_scope(self, bad):
+        """Without the check, c = nan read as NoMinimizer with a NaN critical
+        mass and cstar = inf as MinusInfinity with critical mass 0."""
+        for c, cstar in ((bad, 1.0), (1.0, bad)):
+            rep = regime_classify(3, 1.0, 1.0, 0.0, c, cstar, sum_squares())
+            assert rep.regime is Regime.OUT_OF_SCOPE
+            assert rep.note == "parameters out of range"
+            assert rep.critical_mass is None
 
 
 class TestGConditions:
