@@ -293,10 +293,9 @@ def _parse_g(text: str):
     if text == "sum_squares":
         return sum_squares()
     if text.startswith("sum_powers:"):
-        return SumPowers(float(Fraction(text.split(":", 1)[1])))
+        return SumPowers(_parse_real(text.split(":", 1)[1]))
     if text.startswith("product_powers:"):
-        alphas = tuple(float(Fraction(a)) for a in text.split(":", 1)[1].split(","))
-        return ProductPowers(alphas)
+        return ProductPowers(tuple(_parse_real(a) for a in text.split(":", 1)[1].split(",")))
     raise ValueError(f"unknown nonlinearity {text!r}")
 
 

@@ -24,10 +24,8 @@ from .spectral import (
     Grid,
     _cutoff,
     _spectrum,
-    apply_symbol,
     symbol_values,
     to_fourier,
-    to_physical,
     zero_mode_fraction,
     ZERO_MODE_TOLERANCE,
 )
@@ -215,7 +213,7 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
         if spec.family is NormFamily.LEBESGUE:
             values[i] = _lp(mag, spec.p, w)
         elif spec.family in _SOBOLEV:
-            values[i] = sobolev_norm(hat, spec)
+            values[i] = _sobolev(hat, spec, field)
         else:
             stacked.append(i)
     if stacked and np.any(hat.data):
@@ -247,17 +245,21 @@ def sobolev_norm(field: Field, spec: NormSpec) -> float:
     """||(-Lap)^(s/2) f||_p, or the (m^2 + |xi|^2)^(s/2)-weighted L^2 norm."""
     if spec.family not in _SOBOLEV:
         raise ValueError(f"sobolev_norm got family {spec.family}")
-    grid = field.grid
-    hat = to_fourier(field)
-    if spec.family is NormFamily.BESSEL_SOBOLEV:
-        symbol = Bessel(spec.s, spec.m2)
-    else:
-        symbol = FracLaplacian(spec.s)
+    return _sobolev(to_fourier(field), spec, field)
+
+
+def _sobolev(hat: Field, spec: NormSpec, field: Field) -> float:
+    """sobolev_norm of field from its Fourier form hat; for p != 2 a real
+    field is inverted from its half spectrum by irfftn, as in _magnitude."""
+    grid = hat.grid
+    symbol = Bessel(spec.s, spec.m2) if spec.family is NormFamily.BESSEL_SOBOLEV else FracLaplacian(spec.s)
     if spec.p == 2.0:
         vals = symbol_values(grid, symbol)
         total = float(np.sum((vals * np.abs(hat.data)) ** 2))
         return math.sqrt(total / grid.box_length ** grid.n)
-    return lp_norm(to_physical(apply_symbol(hat, symbol)), spec.p)
+    data, inverse = _spectrum(hat, field.is_real)
+    w = grid.quadrature_weight
+    return _lp(np.abs(inverse(data * symbol_values(grid, symbol, half=field.is_real)) / w), spec.p, w)
 
 
 def compute_norm(field: Field, spec: NormSpec) -> NormResult:

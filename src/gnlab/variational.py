@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -28,7 +27,6 @@ from .spectral import (
     Bessel,
     Domain,
     Field,
-    FracLaplacian,
     Grid,
     RieszPotential,
     _form,
@@ -55,8 +53,8 @@ class ProductPowers:
     alphas: Tuple[float, ...]
 
     def __post_init__(self):
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise ValueError("ProductPowers needs positive exponents")
+        if not self.alphas or not all(0 < a < math.inf for a in self.alphas):
+            raise ValueError("ProductPowers needs positive finite exponents")
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,8 @@ class SumPowers:
     mu: float = 2.0
 
     def __post_init__(self):
-        if self.mu < 2:
-            raise ValueError("SumPowers needs mu >= 2")
+        if not 2 <= self.mu < math.inf:
+            raise ValueError("SumPowers needs a finite mu >= 2")
 
 
 NonlinearityG = Union[ProductPowers, SumPowers]
@@ -85,32 +83,35 @@ def g_degree(G: NonlinearityG) -> float:
 
 
 def g_value(G: NonlinearityG, comps: Sequence[np.ndarray]) -> np.ndarray:
-    vs = [np.maximum(v, 0.0) for v in comps]
+    """G at nonnegative components, with no clamp: MultiField enforces the
+    sign, minimize clamps and projects, the C* ascent clamps each step and
+    the rearrangement takes abs.  G starts from its first term: adding into
+    a zero-filled array writes to fresh pages, an order of magnitude slower
+    (README, "Variational cost")."""
     if isinstance(G, ProductPowers):
-        if len(G.alphas) != len(vs):
+        if len(G.alphas) != len(comps):
             raise ValueError("component count does not match ProductPowers")
-        out = np.ones_like(vs[0])
-        for v, a in zip(vs, G.alphas):
+        out = comps[0] ** G.alphas[0]
+        for v, a in zip(comps[1:], G.alphas[1:]):
             out = out * v ** a
         return out
-    out = np.zeros_like(vs[0])
-    for v in vs:
+    out = comps[0] ** G.mu
+    for v in comps[1:]:
         out += v ** G.mu
     return out
 
 
 def g_partial(G: NonlinearityG, comps: Sequence[np.ndarray], i: int) -> np.ndarray:
-    vs = [np.maximum(v, 0.0) for v in comps]
+    """dG/dv_i at nonnegative components (see g_value)."""
     if isinstance(G, SumPowers):
-        return G.mu * vs[i] ** (G.mu - 1.0)
-    out = np.full_like(vs[0], G.alphas[i])
-    for j, (v, a) in enumerate(zip(vs, G.alphas)):
-        if j == i:
-            if a != 1.0:
-                out = out * np.where(v > 0, v, 1.0) ** (a - 1.0)
-                out = np.where(vs[i] > 0, out, 0.0 if a > 1.0 else out)
-        else:
+        return G.mu * comps[i] ** (G.mu - 1.0)
+    out = np.full_like(comps[0], G.alphas[i])
+    for j, (v, a) in enumerate(zip(comps, G.alphas)):
+        if j != i:
             out = out * v ** a
+        elif a != 1.0:
+            out = out * np.where(v > 0, v, 1.0) ** (a - 1.0)
+            out = np.where(v > 0, out, 0.0 if a > 1.0 else out)
     return out
 
 
@@ -175,11 +176,6 @@ def mass(grid: Grid, f: np.ndarray) -> float:
     return _inner(grid, f, f)
 
 
-def _quad_form(grid: Grid, arr: np.ndarray, s: float, m2: float) -> float:
-    """(1/L^n) sum (m^2 + |xi|^2)^s |f^|^2 (the squared s-energy norm)."""
-    return _form(grid, np.fft.rfftn(arr), symbol_values(grid, Bessel(2.0 * s, m2), half=True))
-
-
 def _energy_symbols(grid: Grid, params: EnergyParams) -> Tuple[np.ndarray, np.ndarray]:
     """Symbols of the quadratic form and of V (which checks beta), built once per solve."""
     return (
@@ -188,47 +184,64 @@ def _energy_symbols(grid: Grid, params: EnergyParams) -> Tuple[np.ndarray, np.nd
     )
 
 
+def _quad(grid: Grid, hats: Sequence[np.ndarray], w: np.ndarray) -> float:
+    """sum_i (1/L^n) sum w |u_i^|^2 from the half spectra hats = rfftn(u_i)."""
+    return sum(_form(grid, hat, w) for hat in hats)
+
+
 def _evaluate(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols):
-    """Energy at the components arrs, with the half spectra rfftn(u_i) and
-    rfftn(G(u)) it was computed from: L + 1 forward FFTs."""
+    """quad = sum_i <(m^2 - Lap)^s u_i, u_i> and inter = <G(u), V * G(u)> at
+    arrs (the energy is 0.5 quad - inter), with the half spectra rfftn(u_i)
+    and rfftn(G(u)) they came from: L + 1 forward FFTs."""
     w_quad, w_riesz = symbols
     hats = [np.fft.rfftn(arr) for arr in arrs]
-    quad = 0.0
-    for hat in hats:
-        quad += _form(grid, hat, w_quad)
     g_hat = np.fft.rfftn(g_value(params.G, arrs))
     inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz)
-    return 0.5 * quad - inter, hats, g_hat
+    return _quad(grid, hats, w_quad), inter, hats, g_hat
 
 
-def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> List[np.ndarray]:
-    """L^2 gradient (m^2 - Lap)^s u_i - 2 (V * G(u)) dG/dv_i from the spectra
-    of _evaluate at the same point: L + 1 inverse FFTs."""
+def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(A_i, B_i) = ((m^2 - Lap)^s u_i, (V * G(u)) dG/dv_i), half the L^2
+    gradients of quad and inter, from the spectra of _evaluate at the same
+    point: L + 1 inverse FFTs."""
     w_quad, w_riesz = symbols
     conv = riesz_constant(grid.n, params.beta) * _irfftn(grid, g_hat * w_riesz)
-    return [
-        _irfftn(grid, w_quad * hat) - 2.0 * conv * g_partial(params.G, arrs, i)
-        for i, hat in enumerate(hats)
-    ]
+    return [(_irfftn(grid, w_quad * hat), conv * g_partial(params.G, arrs, i)) for i, hat in enumerate(hats)]
+
+
+def _energy_gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> List[np.ndarray]:
+    """L^2 gradient of the energy, A_i - 2 B_i (see _gradient)."""
+    return [a - 2.0 * b for a, b in _gradient(grid, arrs, params, symbols, hats, g_hat)]
+
+
+def _critical(n: int, beta: float) -> EnergyParams:
+    """Massless sum of squares at s = (n - beta)/2: quad = ||u||^2 in H^s-dot, inter = Upsilon_beta."""
+    if not 0 < beta < n:
+        raise ValueError(f"beta must lie in (0, n); got {beta} with n={n}")
+    return EnergyParams((n - beta) / 2.0, 0.0, beta, sum_squares())
 
 
 def upsilon_beta(u: MultiField, beta: float) -> float:
     """Interaction functional of the total density |u|^2 = sum u_i^2."""
-    grid = u.grid
-    w = symbol_values(grid, RieszPotential(beta), half=True)
-    rho = sum(arr ** 2 for arr in u.arrays())
-    return riesz_constant(grid.n, beta) * _form(grid, np.fft.rfftn(rho), w)
+    params = _critical(u.grid.n, beta)
+    return _evaluate(u.grid, u.arrays(), params, _energy_symbols(u.grid, params))[1]
+
+
+def _energy_eval(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols):
+    """(E, hats, g_hat): the energy 0.5 quad - inter, with the spectra of _evaluate."""
+    quad, inter, hats, g_hat = _evaluate(grid, arrs, params, symbols)
+    return 0.5 * quad - inter, hats, g_hat
 
 
 def energy(u: MultiField, params: EnergyParams) -> float:
-    return _evaluate(u.grid, u.arrays(), params, _energy_symbols(u.grid, params))[0]
+    return _energy_eval(u.grid, u.arrays(), params, _energy_symbols(u.grid, params))[0]
 
 
 def energy_gradient(u: MultiField, params: EnergyParams) -> List[Field]:
     """L^2 gradient: (m^2 - Lap)^s u_i - 2 (V * G(u)) dG/dv_i."""
     grid, arrs = u.grid, u.arrays()
     symbols = _energy_symbols(grid, params)
-    grads = _gradient(grid, arrs, params, symbols, *_evaluate(grid, arrs, params, symbols)[1:])
+    grads = _energy_gradient(grid, arrs, params, symbols, *_evaluate(grid, arrs, params, symbols)[2:])
     return [Field(grid, Domain.PHYSICAL, g) for g in grads]
 
 
@@ -344,7 +357,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     symbols = _energy_symbols(grid, params)
     pre = symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0)), half=True)
     arrs = _project(grid, u0.arrays(), masses)
-    e, hats, g_hat = _evaluate(grid, arrs, params, symbols)
+    e, hats, g_hat = _energy_eval(grid, arrs, params, symbols)
     if math.isnan(e):
         raise DivergenceError("initial energy is NaN")
     trace = [e]
@@ -352,7 +365,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     message = ""
     it = 0
     for it in range(1, options.max_iters + 1):
-        grads = _gradient(grid, arrs, params, symbols, hats, g_hat)
+        grads = _energy_gradient(grid, arrs, params, symbols, hats, g_hat)
         tangents = [g - (_inner(grid, g, a) / c) * a for g, a, c in zip(grads, arrs, masses)]
         dirs = [_irfftn(grid, pre * np.fft.rfftn(t)) for t in tangents]
         slope = sum(_inner(grid, t, d) for t, d in zip(tangents, dirs))
@@ -372,7 +385,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
             except ValueError:
                 step *= 0.5
                 continue
-            cand_eval = _evaluate(grid, cand, params, symbols)
+            cand_eval = _energy_eval(grid, cand, params, symbols)
             if math.isnan(cand_eval[0]):
                 raise DivergenceError(f"energy NaN at iteration {it}")
             if cand_eval[0] <= e - ARMIJO * step * slope:
@@ -393,7 +406,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
         del cand, cand_eval  # a kept rearrangement must not leave these alive
 
         rearranged = _project(grid, [_rearrange(grid, a) for a in arrs], masses)
-        r_eval = _evaluate(grid, rearranged, params, symbols)
+        r_eval = _energy_eval(grid, rearranged, params, symbols)
         if r_eval[0] <= e:
             arrs, (e, hats, g_hat) = rearranged, r_eval
         del rearranged, r_eval  # nor a rejected one its spectra
@@ -407,7 +420,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
                 message = "energy plateau"
                 break
 
-    grads = _gradient(grid, arrs, params, symbols, hats, g_hat)
+    grads = _energy_gradient(grid, arrs, params, symbols, hats, g_hat)
     multipliers = []
     residual = 0.0
     for g, arr, c in zip(grads, arrs, masses):
@@ -431,22 +444,13 @@ class CStarEstimate:
     starts: int
 
 
-def _ascent_eval(grid: Grid, arr: np.ndarray, beta: float, w_hs: np.ndarray, w_riesz: np.ndarray):
-    """Quotient at arr, with the state an ascent step from arr needs:
-    (mass, H^s form, Upsilon, rfftn(arr), rfftn(arr^2))."""
-    hat = np.fft.rfftn(arr)
+def _ascent_eval(grid: Grid, arr: np.ndarray, params: EnergyParams, symbols):
+    """Quotient inter / (mass quad) of _critical at arr, with the state an
+    ascent step from arr needs: (mass, quad, inter, hats, g_hat)."""
     a = mass(grid, arr)
-    b = _form(grid, hat, w_hs)
-    rho_hat = np.fft.rfftn(arr ** 2)
-    ups = riesz_constant(grid.n, beta) * _form(grid, rho_hat, w_riesz)
-    q = ups / (a * b) if a > 0 and b > 0 else 0.0
-    return q, (a, b, ups, hat, rho_hat)
-
-
-def _quotient(grid: Grid, arr: np.ndarray, beta: float, s: float) -> float:
-    w_hs = symbol_values(grid, FracLaplacian(2.0 * s), half=True)
-    w_riesz = symbol_values(grid, RieszPotential(beta), half=True)
-    return _ascent_eval(grid, arr, beta, w_hs, w_riesz)[0]
+    quad, ups, hats, g_hat = _evaluate(grid, [arr], params, symbols)
+    q = ups / (a * quad) if a > 0 and quad > 0 else 0.0
+    return q, (a, quad, ups, hats, g_hat)
 
 
 def estimate_cstar(
@@ -464,9 +468,8 @@ def estimate_cstar(
     """
     if grid.n != n:
         raise ValueError("grid dimension mismatch")
-    w_riesz = symbol_values(grid, RieszPotential(beta), half=True)
-    s = (n - beta) / 2.0
-    w_hs = symbol_values(grid, FracLaplacian(2.0 * s), half=True)
+    params = _critical(n, beta)
+    symbols = _energy_symbols(grid, params)
     starts: List[np.ndarray] = []
     r2 = grid.coord_radius2()
     for frac in (8.0, 12.0, 20.0):
@@ -481,15 +484,13 @@ def estimate_cstar(
     best_arr = None
     for arr0 in starts:
         arr = arr0 / math.sqrt(mass(grid, arr0))
-        q, state = _ascent_eval(grid, arr, beta, w_hs, w_riesz)
+        q, state = _ascent_eval(grid, arr, params, symbols)
         for _ in range(max_iters):
-            a, b, ups, hat, rho_hat = state
-            if ups <= 0 or b <= 0:
+            a, quad, ups, hats, g_hat = state
+            if ups <= 0 or quad <= 0:
                 break
-            conv = riesz_constant(grid.n, beta) * _irfftn(grid, rho_hat * w_riesz)
-            grad_ups = 4.0 * conv * arr
-            grad_b = 2.0 * _irfftn(grid, w_hs * hat)
-            d = grad_ups / ups - (2.0 / a) * arr - grad_b / b
+            (A, B), = _gradient(grid, [arr], params, symbols, hats, g_hat)
+            d = 2.0 * B / ups - (2.0 / a) * arr - 2.0 * A / quad
             dn = math.sqrt(mass(grid, d))
             if dn < 1e-14:
                 break
@@ -501,7 +502,7 @@ def estimate_cstar(
                 mcand = mass(grid, cand)
                 if mcand > 0:
                     cand = cand / math.sqrt(mcand)
-                    qc, cand_state = _ascent_eval(grid, cand, beta, w_hs, w_riesz)
+                    qc, cand_state = _ascent_eval(grid, cand, params, symbols)
                     if qc > q * (1.0 + 1e-12):
                         arr, q, state = cand, qc, cand_state
                         improved = True
@@ -538,17 +539,13 @@ def scaling_profile(u: MultiField, params: EnergyParams, lambdas: Sequence[float
     """
     grid = u.grid
     d = g_degree(params.G)
-    w_riesz = symbol_values(grid, RieszPotential(params.beta), half=True)
-    g_hat = np.fft.rfftn(g_value(params.G, u.arrays()))
-    inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz)
-    hats = [np.fft.rfftn(a) for a in u.arrays()]
+    _, inter, hats, _ = _evaluate(grid, u.arrays(), params, _energy_symbols(grid, params))
     energies = []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("lambda must be positive")
         w = _radial(grid, lambda r: (params.m2 + (lam * r) ** 2) ** params.s, half=True)
-        quad = sum(_form(grid, h, w) for h in hats)
-        energies.append(0.5 * quad - lam ** (d * grid.n - grid.n - params.beta) * inter)
+        energies.append(0.5 * _quad(grid, hats, w) - lam ** (d * grid.n - grid.n - params.beta) * inter)
     exponent = _tail_exponent(list(lambdas), energies)
     return ScalingProfile(list(lambdas), energies, exponent)
 

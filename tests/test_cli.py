@@ -409,6 +409,19 @@ class TestRegimesCommand:
         assert doc["note"] == "parameters out of range"
         assert doc["critical_mass"] is None
 
+    @pytest.mark.parametrize("g", ["sum_powers:1e400", "product_powers:1e400,1", "sum_powers:nan"])
+    def test_nonfinite_exponent_exits_2(self, tmp_path, g):
+        """An exponent too large for a float was an OverflowError traceback, exit 1."""
+        proc = run_cli(
+            ["regimes", "--n", "3", "--beta", "1", "--s", "1", "--m2", "0",
+             "--c", "1", "--cstar", "1", "--g", g],
+            tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("gnlab: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_cstar_auto_uses_cache(self, tmp_path):
         args = ["regimes", "--n", "3", "--beta", "2", "--s", "1", "--m2", "0",
                 "--c", "1", "--cstar", "auto", "--points", "16", "--box-length", "12"]

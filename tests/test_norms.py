@@ -373,6 +373,31 @@ class TestRealPath:
                 assert value == ref, spec
 
 
+class TestSobolevRealPath:
+    """Sobolev p != 2: a real field is inverted from its half spectrum and
+    moves from the complex path by round-off only; a complex field keeps the
+    complex path bit for bit."""
+
+    @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64), (3, 32)])
+    def test_against_complex_path(self, n, m):
+        from gnlab.spectral import Bessel, FracLaplacian, apply_symbol
+
+        hat = _hermitian_field(n, m, seed=13)
+        g = hat.grid
+        real = Field(g, Domain.PHYSICAL, to_physical(hat).data.real)
+        skew = hat.with_data(hat.data * (1.0 + 0.5j))
+        cases = [
+            (NormSpec(NormFamily.HOMOG_SOBOLEV, 0.5, 3.0), FracLaplacian(0.5)),
+            (NormSpec(NormFamily.BESSEL_SOBOLEV, -0.5, 1.5, m2=0.7), Bessel(-0.5, 0.7)),
+            (NormSpec(NormFamily.HOMOG_SOBOLEV, 1.0, math.inf), FracLaplacian(1.0)),
+        ]
+        for spec, symbol in cases:
+            for f, rel in ((hat, 1e-15), (real, 1e-15), (skew, 0.0), (to_physical(skew), 0.0)):
+                ref = lp_norm(to_physical(apply_symbol(to_fourier(f), symbol)), spec.p)
+                got = [sobolev_norm(f, spec)] + norm_values(f, [spec])
+                assert got == [pytest.approx(ref, rel=rel, abs=0)] * 2, (spec, f.domain)
+
+
 class TestNormSpec:
     @pytest.mark.parametrize("name,value", [
         ("p", 0.0), ("p", -1.0), ("p", math.nan), ("q", 0.0), ("q", -2.0), ("q", math.nan),

@@ -37,7 +37,7 @@ from gnlab.variational import (
     sum_squares,
     upsilon_beta,
 )
-from gnlab.variational import _quad_form
+from gnlab.variational import _ascent_eval, _critical, _energy_symbols
 
 
 def bump_field(grid, w, jitter=None, floor=0.0):
@@ -50,6 +50,12 @@ def bump_field(grid, w, jitter=None, floor=0.0):
 def single(grid, w, c=1.0):
     f = bump_field(grid, w)
     return MultiField((f,), (c,))
+
+
+def quotient(grid, arr, beta):
+    """The C* ascent's quotient Upsilon / (mass ||u||^2 in H^s-dot), s = (n - beta)/2."""
+    params = _critical(grid.n, beta)
+    return _ascent_eval(grid, arr, params, _energy_symbols(grid, params))[0]
 
 
 class TestUpsilon:
@@ -126,7 +132,8 @@ class TestEnergy:
         grid = make_grid(3, 16, 12.0)
         u = MultiField((bump_field(grid, 1.4), bump_field(grid, 1.9)), (1.0, 1.0))
         params = EnergyParams(1.0, 0.5, 2.0, sum_squares())
-        quad = sum(_quad_form(grid, a, 1.0, 0.5) for a in u.arrays())
+        spec = NormSpec(NormFamily.BESSEL_SOBOLEV, s=1.0, p=2.0, m2=0.5)
+        quad = sum(sobolev_norm(f, spec) ** 2 for f in u.components)
         assert energy(u, params) == pytest.approx(0.5 * quad - upsilon_beta(u, 2.0), rel=1e-12)
 
     def test_critical_scaling_profile_power_law(self):
@@ -143,6 +150,13 @@ class TestEnergy:
         grid = make_grid(3, 16, 12.0)
         u = single(grid, 1.4)
         params = EnergyParams(0.8, 0.3, 1.5, sum_squares())
+        prof = scaling_profile(u, params, [1.0])
+        assert prof.energies[0] == pytest.approx(energy(u, params), rel=1e-12)
+
+    def test_lambda_one_is_energy_two_component_product(self):
+        grid = make_grid(3, 16, 12.0)
+        u = MultiField((bump_field(grid, 1.4), bump_field(grid, 1.9)), (1.0, 0.5))
+        params = EnergyParams(0.9, 0.4, 2.0, ProductPowers((1.5, 1.25)))
         prof = scaling_profile(u, params, [1.0])
         assert prof.energies[0] == pytest.approx(energy(u, params), rel=1e-12)
 
@@ -393,12 +407,20 @@ class TestCStar:
         grid = make_grid(3, 16, 12.0)
         est = estimate_cstar(3, 2.0, grid, max_iters=60)
         assert est.value > 0
-        from gnlab.variational import _quotient
-
         for seed in range(20):
             probe = positive_random_field(grid, seed).data.real
-            q = _quotient(grid, probe, 2.0, 0.5)
-            assert q <= est.value * 1.01
+            assert quotient(grid, probe, 2.0) <= est.value * 1.01
+
+    @pytest.mark.parametrize("n,beta", [(3, 1.0), (3, 2.0), (2, 0.5)])
+    def test_quotient_is_the_energy_quotient(self, n, beta):
+        """At the argmax (mass 1) the ascent's quotient is Upsilon / quad with
+        quad = 2 (E + Upsilon), E the massless energy at s = (n - beta)/2."""
+        grid = make_grid(n, 16, 12.0)
+        est = estimate_cstar(n, beta, grid, max_iters=20, seeds=(1,))
+        u = MultiField((est.argmax,), (1.0,))
+        e = energy(u, EnergyParams((n - beta) / 2.0, 0.0, beta, sum_squares()))
+        ups = upsilon_beta(u, beta)
+        assert est.value == pytest.approx(ups / (2.0 * (e + ups)), rel=1e-12)
 
     def test_extra_starts(self):
         grid = make_grid(3, 16, 12.0)
@@ -417,14 +439,13 @@ class TestCStar:
         invariance is read from the extrapolation 2 q(2 lambda) - q(lambda),
         which must be lambda-independent."""
         from gnlab.spectral import dilate
-        from gnlab.variational import _quotient
 
         grid = make_grid(3, 64, 24.0)
         g = gaussian(grid, 2.4)
         qs = []
         for m in (0, 1, 2):
             gd = dilate(g, m, l2_normalized=True)
-            qs.append(_quotient(grid, gd.data.real, 2.0, 0.5))
+            qs.append(quotient(grid, gd.data.real, 2.0))
         free_a = 2 * qs[1] - qs[0]
         free_b = 2 * qs[2] - qs[1]
         assert free_b == pytest.approx(free_a, rel=2e-2)
@@ -523,3 +544,13 @@ class TestGConditions:
     def test_growth_constant_reported(self):
         rep = g_conditions_check(SumPowers(2.5), sample_count=200, seed=2)
         assert 0 < rep.growth_constant < 10.0
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 1.5])
+    def test_sum_powers_rejects_nonfinite_or_small(self, mu):
+        with pytest.raises(ValueError, match="finite mu >= 2"):
+            SumPowers(mu)
+
+    @pytest.mark.parametrize("alphas", [(math.nan,), (math.inf, 1.0), (1.0, 0.0), ()])
+    def test_product_powers_rejects_nonfinite_or_nonpositive(self, alphas):
+        with pytest.raises(ValueError, match="positive finite exponents"):
+            ProductPowers(alphas)
