@@ -340,7 +340,7 @@ def cmd_minimize(args) -> int:
     if "cstar" in cfg:
         report = regime_classify(
             grid.n, beta, s, m2, sum(masses),
-            float(cfg["cstar"]), params.G,
+            _parse_real(str(cfg["cstar"])), params.G,
         )
         regime = report.to_json_dict()
     emit(args, {
@@ -395,7 +395,7 @@ def cmd_cstar(args) -> int:
         value = estimate_cstar(args.n, float(args.beta), grid).value
     else:
         value = cstar_cached(args.n, args.beta, grid)
-    emit(args, {"n": args.n, "beta": float(args.beta), "cstar": value,
+    emit(args, {"n": args.n, "beta": args.beta, "cstar": value,
                 "grid": {"points_per_dim": args.points, "box_length": args.box_length}})
     return EXIT_OK
 

@@ -76,7 +76,7 @@ def gn_norms(
     problem: GNProblem,
     shell_range: Optional[Tuple[int, int]] = None,
 ) -> Tuple[float, float, float]:
-    """(target, source0, source1) norms of one field from one shell stack."""
+    """(target, source0, source1) norms of one field from one piece loop."""
     triples = (problem.target, problem.source0, problem.source1)
     specs = [space_norm_spec(problem.scale, tr, shell_range) for tr in triples]
     t, a, b = norm_values(field, specs)

@@ -91,25 +91,14 @@ class NormResult:
 
 def _lp(mag: np.ndarray, p: float, w: float) -> float:
     """(sum mag^p w)^(1/p) of a nonnegative array; p = inf is its max."""
-    if not p > 0:
-        raise ValueError("p must be positive")
     if math.isinf(p):
         return float(mag.max())
     return float((np.sum(mag ** p) * w) ** (1.0 / p))
 
 
-def _magnitude(field: Field) -> np.ndarray:
-    """|f| on the physical grid; a real Fourier-form field is inverted from
-    its half spectrum by irfftn."""
-    if field.domain is Domain.PHYSICAL:
-        return np.abs(field.data)
-    data, inverse = _spectrum(field, field.is_real)
-    return np.abs(inverse(data) / field.grid.quadrature_weight)
-
-
 def lp_norm(field: Field, p: float) -> float:
     """(sum |f|^p w)^(1/p) with w = spacing^n; p = inf is the grid max."""
-    return _lp(_magnitude(field), p, field.grid.quadrature_weight)
+    return norm_values(field, [NormSpec(NormFamily.LEBESGUE, p=p)])[0]
 
 
 def _resolve_shells(grid: Grid, spec: NormSpec) -> range:
@@ -142,84 +131,92 @@ def _lq_reduce(terms: List[float], q: float) -> float:
     return acc ** (1.0 / q)
 
 
-def _shell_stack(hat: Field, specs: Sequence[NormSpec], real: bool) -> List[float]:
-    """Besov and Triebel values from one pass over the union of their shells.
+# Lebesgue's one piece: f itself, with no multiplier
+_IDENTITY = "identity"
 
-    Besov: l^q over shells of 2^(ks) ||Delta_k f||_p.  Triebel: L^p norm of
-    the pointwise l^q aggregate of 2^(ks) |Delta_k f|.  The inhomogeneous
-    variants replace shells k <= 0 by the low-pass block (key None), which
-    enters with weight 1.  Pieces come low-pass block first, then shells in
-    ascending order; each is freed before the next is built.  A real field's
-    pieces are inverted from the half spectrum by irfftn, a complex field's
-    from the full spectrum by ifftn.
-    """
-    grid = hat.grid
-    w = grid.quadrature_weight
-    data, inverse = _spectrum(hat, real)
-    weights = []
-    for spec in specs:
-        wk = {k: 2.0 ** (k * spec.s) for k in _resolve_shells(grid, spec)}
-        weights.append({None: 1.0, **wk} if spec.family in _INHOMOG else wk)
-    terms: List[List[float]] = [[] for _ in specs]
-    aggs = [np.zeros(grid.shape) if spec.family in _TRIEBEL else None for spec in specs]
-    for k in sorted(set().union(*weights), key=lambda k: -math.inf if k is None else k):
-        piece = inverse(data * _cutoff(grid, k, half=real))
-        piece /= w
-        mag = np.abs(piece)
-        del piece
-        for i, spec in enumerate(specs):
-            if k not in weights[i]:
-                continue
-            if spec.family in _BESOV:
-                terms[i].append(weights[i][k] * _lp(mag, spec.p, w))
-            elif math.isinf(spec.q):
-                aggs[i] = np.maximum(aggs[i], mag * weights[i][k])
-            else:
-                aggs[i] += (mag * weights[i][k]) ** spec.q
-        del mag
-    values = []
-    for spec, spec_terms, agg in zip(specs, terms, aggs):
-        if agg is None:
-            values.append(_lq_reduce(spec_terms, spec.q))
-            continue
-        if not math.isinf(spec.q):
-            agg = agg ** (1.0 / spec.q)
-        values.append(_lp(agg, spec.p, w))
-    return values
+
+def _pieces(grid: Grid, spec: NormSpec) -> dict:
+    """The pieces spec reduces, as {multiplier key: weight}: the identity, a
+    symbol, or the dyadic shells k with weight 2^(ks) and, when
+    inhomogeneous, the low-pass block (key None) with weight 1."""
+    if spec.family is NormFamily.LEBESGUE:
+        return {_IDENTITY: 1.0}
+    if spec.family is NormFamily.HOMOG_SOBOLEV:
+        return {FracLaplacian(spec.s): 1.0}
+    if spec.family is NormFamily.BESSEL_SOBOLEV:
+        return {Bessel(spec.s, spec.m2): 1.0}
+    shells = {k: 2.0 ** (k * spec.s) for k in _resolve_shells(grid, spec)}
+    return {None: 1.0, **shells} if spec.family in _INHOMOG else shells
+
+
+def _piece_order(key) -> Tuple[int, int]:
+    """Low-pass block, then shells ascending, then the one-piece keys."""
+    if key is None:
+        return (0, 0)
+    if isinstance(key, int):
+        return (1, key)
+    return (2, 0)
 
 
 def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     """Values of several norms of one field, in the order of `specs`.
 
-    One forward transform (none for a field in Fourier form) serves every
-    spec.  Besov and Triebel specs share one inverse transform per distinct
-    shell in the union of their shells, not one per spec and shell; each
-    value equals its one-spec value exactly.  For a real field (see
-    Field.is_real) these inverses, and the one inverse of a Fourier-form
-    field under Lebesgue specs, are real transforms of the half spectrum.
-    Lebesgue and Sobolev specs take their direct paths.  Besov and Triebel
-    norms of the zero field are 0.
+    Every spec names the pieces M f it reduces (see _pieces); each distinct
+    piece is built once, for every spec that names it, by one inverse
+    transform after one forward transform (none for a field in Fourier
+    form), and freed before the next.  A real field (see Field.is_real) is
+    inverted from its half spectrum by irfftn, a complex one from its full
+    spectrum by ifftn.  The Lebesgue piece of a physical field is |f|, with
+    no transform.  Besov, Lebesgue and Sobolev specs take the l^q sum of
+    their weighted L^p piece norms (q = inf for the one-piece families);
+    Triebel specs take the L^p norm of the pointwise l^q aggregate of their
+    weighted pieces.  Each value equals its one-spec value exactly.
     """
     for spec in specs:
         if spec.family in _TRIEBEL and math.isinf(spec.p):
             raise ValueError("triebel_norm requires p < inf")
-    values = [0.0] * len(specs)
-    families = {spec.family for spec in specs}
-    w = field.grid.quadrature_weight
-    mag = _magnitude(field) if NormFamily.LEBESGUE in families else None
-    hat = to_fourier(field) if families - {NormFamily.LEBESGUE} else None
-    stacked = []
-    for i, spec in enumerate(specs):
-        if spec.family is NormFamily.LEBESGUE:
-            values[i] = _lp(mag, spec.p, w)
-        elif spec.family in _SOBOLEV:
-            values[i] = _sobolev(hat, spec, field)
+    grid = field.grid
+    w = grid.quadrature_weight
+    pieces = [_pieces(grid, spec) for spec in specs]
+    keys = sorted(dict.fromkeys(key for named in pieces for key in named), key=_piece_order)
+    direct = field.domain is Domain.PHYSICAL
+    if not direct or set(keys) - {_IDENTITY}:
+        real = field.is_real
+        data, inverse = _spectrum(to_fourier(field), real)
+    terms: List[List[float]] = [[] for _ in specs]
+    aggs = [np.zeros(grid.shape) if spec.family in _TRIEBEL else None for spec in specs]
+    for key in keys:
+        if key is _IDENTITY and direct:
+            mag = np.abs(field.data)
         else:
-            stacked.append(i)
-    if stacked and np.any(hat.data):
-        shell_values = _shell_stack(hat, [specs[i] for i in stacked], field.is_real)
-        for i, value in zip(stacked, shell_values):
-            values[i] = value
+            if key is _IDENTITY:
+                piece = inverse(data)
+            elif key is None or isinstance(key, int):
+                piece = inverse(data * _cutoff(grid, key, half=real))
+            else:
+                piece = inverse(data * symbol_values(grid, key, half=real))
+            piece /= w
+            mag = np.abs(piece)
+            del piece
+        for i, spec in enumerate(specs):
+            weight = pieces[i].get(key)
+            if weight is None:
+                continue
+            if aggs[i] is None:
+                terms[i].append(weight * _lp(mag, spec.p, w))
+            elif math.isinf(spec.q):
+                aggs[i] = np.maximum(aggs[i], mag * weight)
+            else:
+                aggs[i] += (mag * weight) ** spec.q
+        del mag
+    values = []
+    for spec, spec_terms, agg in zip(specs, terms, aggs):
+        if agg is None:
+            values.append(_lq_reduce(spec_terms, spec.q if spec.family in _BESOV else math.inf))
+            continue
+        if not math.isinf(spec.q):
+            agg = agg ** (1.0 / spec.q)
+        values.append(_lp(agg, spec.p, w))
     return values
 
 
@@ -242,24 +239,10 @@ def triebel_norm(field: Field, spec: NormSpec) -> float:
 
 
 def sobolev_norm(field: Field, spec: NormSpec) -> float:
-    """||(-Lap)^(s/2) f||_p, or the (m^2 + |xi|^2)^(s/2)-weighted L^2 norm."""
+    """||(-Lap)^(s/2) f||_p, or ||(m^2 - Lap)^(s/2) f||_p."""
     if spec.family not in _SOBOLEV:
         raise ValueError(f"sobolev_norm got family {spec.family}")
-    return _sobolev(to_fourier(field), spec, field)
-
-
-def _sobolev(hat: Field, spec: NormSpec, field: Field) -> float:
-    """sobolev_norm of field from its Fourier form hat; for p != 2 a real
-    field is inverted from its half spectrum by irfftn, as in _magnitude."""
-    grid = hat.grid
-    symbol = Bessel(spec.s, spec.m2) if spec.family is NormFamily.BESSEL_SOBOLEV else FracLaplacian(spec.s)
-    if spec.p == 2.0:
-        vals = symbol_values(grid, symbol)
-        total = float(np.sum((vals * np.abs(hat.data)) ** 2))
-        return math.sqrt(total / grid.box_length ** grid.n)
-    data, inverse = _spectrum(hat, field.is_real)
-    w = grid.quadrature_weight
-    return _lp(np.abs(inverse(data * symbol_values(grid, symbol, half=field.is_real)) / w), spec.p, w)
+    return norm_values(field, [spec])[0]
 
 
 def compute_norm(field: Field, spec: NormSpec) -> NormResult:

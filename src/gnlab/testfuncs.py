@@ -34,7 +34,6 @@ from .spectral import (
 class FamilyKind(Enum):
     EPS_BUMP_TRAIN = "EpsBumpTrain"
     SCALED_BUMP_TRAIN = "ScaledBumpTrain"
-    EQUAL_SHELL_TRAIN = "EqualShellTrain"
     SINGLE_AMPLITUDE_TRAIN = "SingleAmplitudeTrain"
 
 
@@ -42,7 +41,6 @@ class FamilyKind(Enum):
 # phi(2^(lambda j) (xi - xi_j)) so the width shrinks as the shells climb.
 _FIXED_WIDTH_KINDS = (
     FamilyKind.EPS_BUMP_TRAIN,
-    FamilyKind.EQUAL_SHELL_TRAIN,
     FamilyKind.SINGLE_AMPLITUDE_TRAIN,
 )
 
@@ -57,7 +55,6 @@ class LacunaryFamily:
 
       EpsBumpTrain        a = eps            (growing amplitudes)
       ScaledBumpTrain     a = -s - n*lam*(1/p - 1)
-      EqualShellTrain     a = -s             (equal weighted shell norms)
       SingleAmplitudeTrain a = -s
     """
 
@@ -186,8 +183,7 @@ def random_band_limited(grid: Grid, k_lo: int, k_hi: int, seed: int) -> Field:
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     data = np.where(mask, data, 0.0)
-    data = 0.5 * (data + _conjugate_reverse(data))
-    data = np.where(mask, data, 0.0)  # keep the annulus exact after symmetrizing
+    data = 0.5 * (data + _conjugate_reverse(data))  # the annulus is its own mirror
     return Field(grid, Domain.FOURIER, data)
 
 

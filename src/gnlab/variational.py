@@ -459,12 +459,14 @@ def estimate_cstar(
     grid: Grid,
     max_iters: int = 200,
     seeds: Sequence[int] = (0, 1),
-    extra_starts: Sequence[Field] = (),
 ) -> CStarEstimate:
-    """Lower-bound estimate of sup Upsilon(u) / (||u||_2^2 ||u||_{Hs}^2),
-    s = (n - beta)/2, by multi-start normalized gradient ascent.
+    """Estimate of sup Upsilon(u) / (||u||_2^2 ||u||_{Hs}^2), s = (n - beta)/2,
+    by multi-start normalized gradient ascent.
 
-    Returns the best quotient found; the true supremum can only be larger.
+    Returns the best on-grid quotient found: a lower bound for the grid
+    problem only.  u^2 is formed pointwise on the grid, so its frequencies
+    above Nyquist alias into Upsilon, and the value is not a bound on the
+    supremum over band-limited or continuum functions.
     """
     if grid.n != n:
         raise ValueError("grid dimension mismatch")
@@ -477,8 +479,6 @@ def estimate_cstar(
         starts.append(np.exp(-r2 / (2.0 * width ** 2)))
     for seed in seeds:
         starts.append(positive_random_field(grid, seed).data.real)
-    for f in extra_starts:
-        starts.append(to_physical(f).data.real)
 
     best_val = -1.0
     best_arr = None

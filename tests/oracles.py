@@ -132,3 +132,11 @@ def pointwise_symbol(r: np.ndarray, symbol) -> np.ndarray:
             vals = np.where(r > 0, r, 1.0) ** float(symbol.s)
     vals.flat[0] = 0.0
     return vals
+
+
+def sobolev_l2_parseval(hat: np.ndarray, r: np.ndarray, symbol, L: float) -> float:
+    """||M f||_2 by Parseval over the whole frequency lattice: the square root
+    of (1/L^n) sum |m(xi) f^(xi)|^2, with f^ = fftn(f) h^n given on the full
+    lattice and m the symbol at the radii r."""
+    total = float(np.sum((pointwise_symbol(r, symbol) * np.abs(hat)) ** 2))
+    return math.sqrt(total / L ** hat.ndim)

@@ -341,6 +341,28 @@ class TestMinimizeCommand:
         assert proc.returncode in (0, 3), proc.stderr
         assert json.loads(proc.stdout)["regime"]["case"] == "critical-massless"
 
+    def test_rational_and_nonfinite_cstar(self, tmp_path):
+        """"cstar": "1/2" was a ValueError (exit 2) while regimes --cstar 1/2
+        was accepted; it now reads as 0.5, and a non-finite value stays out
+        of scope."""
+        regimes = {}
+        for cstar in ("1/2", 0.5, "nan", "Infinity"):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({
+                "grid": {"n": 1, "points_per_dim": 64, "box_length": 16.0},
+                "params": {"s": "1/3", "m2": "0", "beta": "1/3"},
+                "masses": [1.0],
+                "options": {"max_iters": 3},
+                "cstar": float(cstar) if cstar == "Infinity" else cstar,
+            }))
+            proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+            assert proc.returncode in (0, 3), proc.stderr
+            regimes[cstar] = json.loads(proc.stdout)["regime"]
+        assert regimes["1/2"] == regimes[0.5]
+        assert regimes["1/2"]["critical_mass"] is not None
+        for cstar in ("nan", "Infinity"):
+            assert regimes[cstar]["regime"] == "OutOfScope"
+            assert regimes[cstar]["critical_mass"] is None
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_nonfinite_mass_exit_2(self, tmp_path, bad):
@@ -491,7 +513,25 @@ class TestCStarCommand:
             proc = run_cli(["cstar", "--n", "3", "--beta", beta, "--points", "16",
                             "--box-length", "12"], tmp_path)
             assert proc.returncode == 0, proc.stderr
-            assert json.loads(proc.stdout)["cstar"] == 0.5
+            doc = json.loads(proc.stdout)
+            assert doc["cstar"] == 0.5
+            assert doc["beta"] == "11/5"
+
+    def test_beta_printed_exactly(self, tmp_path, monkeypatch):
+        """--beta 1/3 was printed as the float 0.33333333333333331."""
+        from fractions import Fraction
+
+        from gnlab.spectral import make_grid
+
+        monkeypatch.setenv("GNLAB_CACHE_DIR", str(tmp_path / "cache"))
+        path = cli._cstar_cache_path(3, Fraction(1, 3), make_grid(3, 16, 12.0))
+        path.parent.mkdir(parents=True)
+        path.write_text('{"value": 0.5}\n')
+        proc = run_cli(["cstar", "--n", "3", "--beta", "1/3", "--points", "16",
+                        "--box-length", "12"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert '"beta": "1/3"' in proc.stdout
+        assert json.loads(proc.stdout)["cstar"] == 0.5
 
 
 class TestOutputPaths:

@@ -15,8 +15,20 @@ from gnlab.norms import (
     sobolev_norm,
     triebel_norm,
 )
-from gnlab.spectral import Domain, Field, dilate, make_grid, phi, psi, to_fourier, to_physical
+from gnlab.spectral import (
+    Bessel,
+    Domain,
+    Field,
+    FracLaplacian,
+    dilate,
+    make_grid,
+    phi,
+    psi,
+    to_fourier,
+    to_physical,
+)
 from gnlab.testfuncs import gaussian, random_band_limited
+from oracles import sobolev_l2_parseval
 
 
 def bspec(s, p, q, family=NormFamily.HOMOG_BESOV, shell_range=None):
@@ -253,7 +265,7 @@ def _reference_shell_norm(f, spec):
 
 
 class TestNormValues:
-    """One shell stack per field: every value equals its one-spec value, and
+    """One piece loop per field: every value equals its one-spec value, and
     every Besov and Triebel value equals the shell-by-shell reference."""
 
     MIXED = [
@@ -282,6 +294,26 @@ class TestNormValues:
                     assert value == _reference_shell_norm(f, spec)
             assert norm_values(f, self.MIXED[::-1]) == expected[::-1]
             assert norm_values(f, self.MIXED[3:5]) == expected[3:5]
+
+    def test_repeated_one_piece_specs(self):
+        """Two equal Sobolev specs and two Lebesgue specs among shell specs:
+        each value equals its one-spec value exactly."""
+        specs = [
+            NormSpec(NormFamily.HOMOG_SOBOLEV, 1.0, 2.0),
+            NormSpec(NormFamily.LEBESGUE, 0.0, 2.0),
+            NormSpec(NormFamily.HOMOG_BESOV, 0.5, 2.0, 2.0),
+            NormSpec(NormFamily.HOMOG_SOBOLEV, 1.0, 2.0),
+            NormSpec(NormFamily.LEBESGUE, 0.0, 3.0),
+            NormSpec(NormFamily.INHOMOG_TRIEBEL, 0.5, 2.0, 1.0),
+        ]
+        for n, m in ((1, 1024), (3, 32)):
+            hat = _hermitian_field(n, m, seed=15)
+            skew = hat.with_data(hat.data * (1.0 + 0.5j))
+            real = Field(hat.grid, Domain.PHYSICAL, to_physical(hat).data.real)
+            for f in (hat, real, skew, to_physical(skew)):
+                values = norm_values(f, specs)
+                assert values == [_one_spec_value(f, spec) for spec in specs]
+                assert values[0] == values[3]
 
     def test_zero_field_and_errors(self):
         g = make_grid(1, 256, 2 * math.pi)
@@ -374,9 +406,9 @@ class TestRealPath:
 
 
 class TestSobolevRealPath:
-    """Sobolev p != 2: a real field is inverted from its half spectrum and
-    moves from the complex path by round-off only; a complex field keeps the
-    complex path bit for bit."""
+    """Sobolev norms, p = 2 included: a real field is inverted from its half
+    spectrum and moves from the complex path by round-off only; a complex
+    field keeps the complex path bit for bit."""
 
     @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64), (3, 32)])
     def test_against_complex_path(self, n, m):
@@ -390,12 +422,42 @@ class TestSobolevRealPath:
             (NormSpec(NormFamily.HOMOG_SOBOLEV, 0.5, 3.0), FracLaplacian(0.5)),
             (NormSpec(NormFamily.BESSEL_SOBOLEV, -0.5, 1.5, m2=0.7), Bessel(-0.5, 0.7)),
             (NormSpec(NormFamily.HOMOG_SOBOLEV, 1.0, math.inf), FracLaplacian(1.0)),
+            (NormSpec(NormFamily.HOMOG_SOBOLEV, 1.0, 2.0), FracLaplacian(1.0)),
+            (NormSpec(NormFamily.BESSEL_SOBOLEV, 0.5, 2.0, m2=0.7), Bessel(0.5, 0.7)),
         ]
         for spec, symbol in cases:
             for f, rel in ((hat, 1e-15), (real, 1e-15), (skew, 0.0), (to_physical(skew), 0.0)):
                 ref = lp_norm(to_physical(apply_symbol(to_fourier(f), symbol)), spec.p)
                 got = [sobolev_norm(f, spec)] + norm_values(f, [spec])
                 assert got == [pytest.approx(ref, rel=rel, abs=0)] * 2, (spec, f.domain)
+
+
+class TestSobolevParseval:
+    """Sobolev p = 2 through the piece loop against the Parseval sum over the
+    whole lattice, on real and complex fields in both forms."""
+
+    CASES = [
+        (NormSpec(NormFamily.HOMOG_SOBOLEV, 1.0, 2.0), FracLaplacian(1.0)),
+        (NormSpec(NormFamily.HOMOG_SOBOLEV, -0.5, 2.0), FracLaplacian(-0.5)),
+        (NormSpec(NormFamily.HOMOG_SOBOLEV, 0.0, 2.0), FracLaplacian(0.0)),
+        (NormSpec(NormFamily.BESSEL_SOBOLEV, 1.0, 2.0, m2=1.0), Bessel(1.0, 1.0)),
+        (NormSpec(NormFamily.BESSEL_SOBOLEV, -0.5, 2.0, m2=0.7), Bessel(-0.5, 0.7)),
+        (NormSpec(NormFamily.BESSEL_SOBOLEV, 0.5, 2.0, m2=0.0), Bessel(0.5, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64), (3, 32)])
+    def test_against_parseval_sum(self, n, m):
+        hat = _hermitian_field(n, m, seed=14)
+        g = hat.grid
+        skew = hat.with_data(hat.data * (1.0 + 0.5j))
+        real = Field(g, Domain.PHYSICAL, to_physical(hat).data.real)
+        fields = (hat, real, skew, to_physical(skew))
+        assert [f.is_real for f in fields] == [True, True, False, False]
+        for f in fields:
+            data = f.data if f.domain is Domain.FOURIER else np.fft.fftn(f.data) * g.quadrature_weight
+            for spec, symbol in self.CASES:
+                ref = sobolev_l2_parseval(data, g.freq_radius(), symbol, g.box_length)
+                assert sobolev_norm(f, spec) == pytest.approx(ref, rel=1e-15, abs=0), (spec, f.domain)
 
 
 class TestNormSpec:

@@ -1,8 +1,14 @@
-"""Package-wide structure: code in src/gnlab that nothing calls is deleted."""
+"""Package-wide structure: code in src/gnlab that nothing calls is deleted,
+and the names README gives resolve."""
 import ast
+import importlib
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gnlab"
+import gnlab
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gnlab"
 
 
 def test_every_private_function_has_a_caller():
@@ -22,3 +28,50 @@ def test_every_private_function_has_a_caller():
             if not refs:
                 uncalled.append(fn.name)
     assert uncalled == []
+
+
+def _readme_spans():
+    return re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+
+
+def test_readme_dotted_names_resolve():
+    """A backticked dotted name whose head is gnlab, a gnlab submodule or an
+    export of gnlab (`spectral.psi`, `norms.norm_values(...)`,
+    `Field.is_real`) resolves attribute by attribute."""
+    submodules = {path.stem for path in SRC.glob("*.py") if path.stem != "__init__"}
+    checked, missing = 0, []
+    for span in _readme_spans():
+        m = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?", span)
+        if not m:
+            continue
+        head, *attrs = m.group(1).split(".")
+        if head == "gnlab" and attrs[0] in submodules:
+            head, *attrs = attrs
+        if head in submodules:
+            obj = importlib.import_module(f"gnlab.{head}")
+        elif head in vars(gnlab) and not head.startswith("_"):
+            obj = getattr(gnlab, head)
+        else:
+            continue
+        checked += 1
+        try:
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            missing.append(span)
+    assert checked > 0
+    assert missing == []
+
+
+def test_readme_private_names_are_functions():
+    """Every backticked `_name` is a top-level function of a gnlab module."""
+    functions = {
+        fn.name
+        for path in SRC.glob("*.py")
+        for fn in ast.parse(path.read_text()).body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    names = [m.group(1) for span in _readme_spans()
+             if (m := re.fullmatch(r"(_\w+)(?:\(.*\))?", span))]
+    assert names
+    assert [name for name in names if name not in functions] == []

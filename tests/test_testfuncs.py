@@ -171,6 +171,22 @@ class TestRandomBandLimited:
         assert np.max(np.abs(dyadic_project(f, 1).data)) == 0.0
         assert float(np.abs(f.data.flat[0])) == 0.0  # zero mean
 
+    def test_support_annulus_3d_and_hermitian(self):
+        """Every sample off the closed annulus [2^k_lo, 2^k_hi] is exactly 0,
+        with no second mask after the symmetrization, and the data is its
+        own Hermitian mirror bit for bit."""
+        from gnlab.spectral import _conjugate_reverse
+
+        g = make_grid(3, 32, 4 * math.pi)
+        r = g.freq_radius()
+        for k_lo, k_hi in ((g.k_min, g.k_min + 1), (2, 3), (g.k_max - 1, g.k_max)):
+            for seed in (0, 1):
+                f = random_band_limited(g, k_lo, k_hi, seed)
+                off = (r < 2.0 ** k_lo) | (r > 2.0 ** k_hi)
+                assert off.any() and np.count_nonzero(f.data[~off]) > 0
+                assert not f.data[off].any()
+                assert np.array_equal(f.data, _conjugate_reverse(f.data))
+
     def test_empty_annulus_rejected(self):
         g = make_grid(1, 64, 2.0)  # lattice multiples of pi miss the sphere |xi| = 8
         with pytest.raises(ValueError, match="empty annulus"):

@@ -422,16 +422,12 @@ class TestCStar:
         ups = upsilon_beta(u, beta)
         assert est.value == pytest.approx(ups / (2.0 * (e + ups)), rel=1e-12)
 
-    def test_extra_starts(self):
+    def test_start_count(self):
+        """Three Gaussian starts, then one positive random start per seed."""
         grid = make_grid(3, 16, 12.0)
-        est = estimate_cstar(3, 2.0, grid, max_iters=30, seeds=(3,))
-        assert est.starts == 3 + 1
-        again = estimate_cstar(3, 2.0, grid, max_iters=30, seeds=(3,), extra_starts=(est.argmax,))
-        assert again.starts == 3 + 1 + 1
-        assert again.value >= est.value
-        alone = estimate_cstar(3, 2.0, grid, max_iters=30, seeds=(), extra_starts=(est.argmax, est.argmax))
-        assert alone.starts == 3 + 0 + 2
-        assert alone.value >= est.value * (1.0 - 1e-12)
+        for seeds in ((3,), ()):
+            est = estimate_cstar(3, 2.0, grid, max_iters=30, seeds=seeds)
+            assert est.starts == 3 + len(seeds)
 
     def test_quotient_scale_invariance(self):
         """The quotient's free part is dilation invariant.  On the torus the
