@@ -150,6 +150,12 @@ def _parse_real(text: str) -> float:
         raise ValueError(f"{text!r} is too large for a float") from None
 
 
+def _config_grid(gspec: dict) -> Grid:
+    """The grid of a config's "grid" object; box_length also takes "a/b"."""
+    box = _parse_real(str(gspec["box_length"]))
+    return make_grid(int(gspec["n"]), int(gspec["points_per_dim"]), box)
+
+
 def cmd_norm(args) -> int:
     field = fieldio.read_gnf(args.field)
     spec = NormSpec(
@@ -205,8 +211,7 @@ def cmd_experiment(args) -> int:
         optional={"rule"},
     )
     problem = GNProblem.from_json_dict(cfg["problem"])
-    gspec = cfg["grid"]
-    grid = make_grid(int(gspec["n"]), int(gspec["points_per_dim"]), float(gspec["box_length"]))
+    grid = _config_grid(cfg["grid"])
     fspec = dict(cfg["family"])
     kind = FamilyKind(fspec.pop("kind"))
     j0 = int(fspec.pop("j0", 2))
@@ -305,15 +310,14 @@ def cmd_minimize(args) -> int:
         required={"grid", "params", "masses"},
         optional={"options", "initial", "output_prefix", "seed", "cstar"},
     )
-    gspec = cfg["grid"]
-    grid = make_grid(int(gspec["n"]), int(gspec["points_per_dim"]), float(gspec["box_length"]))
+    grid = _config_grid(cfg["grid"])
     pspec = cfg["params"]
     s, m2, beta = (as_exact(pspec[key]) for key in ("s", "m2", "beta"))
     params = EnergyParams(
         s=float(s), m2=float(m2), beta=float(beta),
         G=_parse_g(pspec.get("G", "sum_squares")),
     )
-    masses = [float(c) for c in cfg["masses"]]
+    masses = [_parse_real(str(c)) for c in cfg["masses"]]
     initial = cfg.get("initial")
     if initial:
         u0 = _load_multifield(initial, masses)

@@ -171,6 +171,13 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     their weighted L^p piece norms (q = inf for the one-piece families);
     Triebel specs take the L^p norm of the pointwise l^q aggregate of their
     weighted pieces.  Each value equals its one-spec value exactly.
+
+    A piece whose spectrum is all zero (a shell outside a band-limited
+    field's band) is skipped before its inverse transform.  That is exact:
+    its L^p norm is 0, which adds 0 to an l^q sum (any q, the max for
+    q = inf, all terms being nonnegative), and its pointwise terms add 0 to
+    a Triebel aggregate or leave its max unchanged.  The test is on the
+    product, not the multiplier's support, so NaN data still propagates.
     """
     for spec in specs:
         if spec.family in _TRIEBEL and math.isinf(spec.p):
@@ -190,11 +197,14 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
             mag = np.abs(field.data)
         else:
             if key is _IDENTITY:
-                piece = inverse(data)
+                piece = data
             elif key is None or isinstance(key, int):
-                piece = inverse(data * _cutoff(grid, key, half=real))
+                piece = data * _cutoff(grid, key, half=real)
             else:
-                piece = inverse(data * symbol_values(grid, key, half=real))
+                piece = data * symbol_values(grid, key, half=real)
+            if not piece.any():
+                continue  # adds 0 to every sum and every aggregate
+            piece = inverse(piece)
             piece /= w
             mag = np.abs(piece)
             del piece

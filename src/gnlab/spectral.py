@@ -47,8 +47,8 @@ class Grid:
         m = self.points_per_dim
         if m < 8 or (m & (m - 1)) != 0:
             raise ValueError("points_per_dim must be a power of two >= 8")
-        if not self.box_length > 0:
-            raise ValueError("box_length must be positive")
+        if not 0 < self.box_length < math.inf:
+            raise ValueError(f"box_length must be positive and finite; got {self.box_length}")
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -185,6 +185,15 @@ def _conjugate_reverse(arr: np.ndarray) -> np.ndarray:
     return np.conj(np.roll(np.flip(arr), 1, axis=tuple(range(arr.ndim))))
 
 
+def _mark_real(field: Field) -> Field:
+    """Record that `field` is exactly real, for a producer that built it so;
+    Field.is_real then reads the record and builds no Hermitian mirror.  The
+    record sits in the cached_property's slot, so is_real stays unsettable
+    from outside."""
+    field.__dict__["is_real"] = True
+    return field
+
+
 def _irfftn(grid: Grid, half: np.ndarray) -> np.ndarray:
     """ifftn of a Hermitian spectrum given on its half lattice [..., :m//2 + 1]."""
     return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.n)))
@@ -234,13 +243,6 @@ def to_physical(field: Field) -> Field:
 # dyadic cutoff
 
 
-def _bump_h(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
 INNER = 1.0
 OUTER = 1.5
 
@@ -248,12 +250,13 @@ OUTER = 1.5
 def psi(t: np.ndarray) -> np.ndarray:
     """1 on t <= INNER, 0 on t >= OUTER, smooth in between."""
     t = np.asarray(t, dtype=float)
-    a = _bump_h(OUTER - t)
-    b = _bump_h(t - INNER)
-    mid = np.zeros_like(t)
+    out = np.where(t <= INNER, 1.0, 0.0)
     band = (t > INNER) & (t < OUTER)
-    mid[band] = a[band] / (a[band] + b[band])
-    return np.where(t <= INNER, 1.0, mid)
+    mid = t[band]  # exp only on the transition band
+    a = np.exp(-1.0 / (OUTER - mid))
+    b = np.exp(-1.0 / (mid - INNER))
+    out[band] = a / (a + b)
+    return out
 
 
 def phi(t: np.ndarray) -> np.ndarray:
@@ -277,6 +280,23 @@ def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarra
     for arr in (levels, inverse, half):
         arr.flags.writeable = False
     return levels, inverse, half
+
+
+def _annulus(grid: Grid, k_lo: int, k_hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat FFT-layout indices of the lattice annulus 2^k_lo <= |xi| <= 2^k_hi,
+    ascending, and for each one the position in that list of its mirror -xi.
+
+    The annulus is its own mirror: a lattice frequency and its negative have
+    bit-equal radii (fftfreq is antisymmetric exactly; the Nyquist index m/2
+    is its own mirror), so the positions are a permutation.  Not memoized:
+    a memo filled between a solver's large temporaries pins the heap, and
+    a 64^3 minimization from positive_random_field peaked 6 MB higher.
+    """
+    shape = grid.shape
+    r = grid.freq_radius()
+    idx = np.flatnonzero((r >= 2.0 ** k_lo) & (r <= 2.0 ** k_hi))
+    neg = tuple(-i % grid.points_per_dim for i in np.unravel_index(idx, shape))
+    return idx, np.searchsorted(idx, np.ravel_multi_index(neg, shape))
 
 
 def _radial(grid: Grid, fn, half: bool = False) -> np.ndarray:

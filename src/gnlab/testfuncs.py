@@ -24,7 +24,8 @@ from .spectral import (
     Domain,
     Field,
     Grid,
-    _conjugate_reverse,
+    _annulus,
+    _mark_real,
     _radius2,
     phi,
     to_physical,
@@ -172,19 +173,26 @@ def gaussian(grid: Grid, width: float, center: Optional[Tuple[float, ...]] = Non
 def random_band_limited(grid: Grid, k_lo: int, k_hi: int, seed: int) -> Field:
     """i.i.d. complex-Gaussian Fourier data on the annulus
     2^k_lo <= |xi| <= 2^k_hi, Hermitian-symmetrized so the physical field is
-    real; deterministic in the seed."""
+    real; deterministic in the seed.
+
+    The draws cover the whole lattice, so the values do not depend on the
+    band; the average 0.5 (a(xi) + conj(a(-xi))) is formed on the annulus
+    only (see spectral._annulus) and scattered into zeros.  The field is
+    recorded as real, so Field.is_real costs nothing."""
     lo, hi = grid.shell_bounds
     if not (lo <= k_lo <= k_hi <= hi):
         raise ValueError(f"band [{k_lo}, {k_hi}] outside the representable window [{lo}, {hi}]")
-    r = grid.freq_radius()
-    mask = (r >= 2.0 ** k_lo) & (r <= 2.0 ** k_hi)
-    if not mask.any():
+    idx, swap = _annulus(grid, k_lo, k_hi)
+    if not idx.size:
         raise ValueError("empty annulus on this lattice")
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    data = np.where(mask, data, 0.0)
-    data = 0.5 * (data + _conjugate_reverse(data))  # the annulus is its own mirror
-    return Field(grid, Domain.FOURIER, data)
+    re = rng.standard_normal(grid.shape).ravel()
+    im = rng.standard_normal(grid.shape).ravel()
+    a = re[idx] + 1j * im[idx]
+    data = np.zeros(grid.shape, dtype=np.complex128)
+    data.flat[idx] = 0.5 * (a + np.conj(a[swap]))
+    data.flags.writeable = False  # Field keeps it without a copy
+    return _mark_real(Field(grid, Domain.FOURIER, data))
 
 
 def positive_random_field(grid: Grid, seed: int) -> Field:

@@ -140,3 +140,48 @@ def sobolev_l2_parseval(hat: np.ndarray, r: np.ndarray, symbol, L: float) -> flo
     lattice and m the symbol at the radii r."""
     total = float(np.sum((pointwise_symbol(r, symbol) * np.abs(hat)) ** 2))
     return math.sqrt(total / L ** hat.ndim)
+
+
+def _lattice_radius(n: int, M: int, L: float) -> np.ndarray:
+    """|xi| on the full FFT-layout frequency lattice, summed axis by axis."""
+    xi = 2.0 * math.pi * np.fft.fftfreq(M, d=L / M)
+    r2 = np.zeros((M,) * n)
+    for ax in range(n):
+        shape = [1] * n
+        shape[ax] = M
+        r2 = r2 + xi.reshape(shape) ** 2
+    return np.sqrt(r2)
+
+
+def band_limited_full_lattice(n: int, M: int, L: float, k_lo: int, k_hi: int,
+                              seed: int) -> np.ndarray:
+    """Random band-limited Fourier data built on the whole lattice: complex
+    Gaussian draws masked to the annulus 2^k_lo <= |xi| <= 2^k_hi by np.where,
+    then averaged with their Hermitian mirror conj(a[-xi]), taken by a flip
+    and a roll of the full array."""
+    r = _lattice_radius(n, M, L)
+    mask = (r >= 2.0 ** k_lo) & (r <= 2.0 ** k_hi)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
+    data = np.where(mask, data, 0.0)
+    mirror = np.conj(np.roll(np.flip(data), 1, axis=tuple(range(n))))
+    return 0.5 * (data + mirror)
+
+
+def psi_full_array(t: np.ndarray, inner: float = 1.0, outer: float = 1.5) -> np.ndarray:
+    """The smooth cutoff a / (a + b), a = h(outer - t), b = h(t - inner) with
+    h(x) = exp(-1/x) for x > 0 and 0 otherwise, with h evaluated on every
+    sample; 1 on t <= inner."""
+    t = np.asarray(t, dtype=float)
+
+    def h(x):
+        out = np.zeros_like(x)
+        pos = x > 0
+        out[pos] = np.exp(-1.0 / x[pos])
+        return out
+
+    a, b = h(outer - t), h(t - inner)
+    mid = np.zeros_like(t)
+    band = (t > inner) & (t < outer)
+    mid[band] = a[band] / (a[band] + b[band])
+    return np.where(t <= inner, 1.0, mid)

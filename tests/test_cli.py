@@ -254,13 +254,16 @@ class TestHarnessCommand:
         assert all(row["ok"] for row in doc["rows"])
 
 
+EXPERIMENT_PROBLEM = {"n": 1, "theta": "1/2", "scale": "HomogBesov",
+                      "target": {"s": "1/2", "p": "4/3", "q": "2"},
+                      "source0": {"s": "0", "p": "2", "q": "2"},
+                      "source1": {"s": "1/2", "p": "2", "q": "2"}}
+
+
 class TestExperimentCommand:
     def test_experiment_csv_and_summary(self, tmp_path):
         cfg = {
-            "problem": {"n": 1, "theta": "1/2", "scale": "HomogBesov",
-                        "target": {"s": "1/2", "p": "4/3", "q": "2"},
-                        "source0": {"s": "0", "p": "2", "q": "2"},
-                        "source1": {"s": "1/2", "p": "2", "q": "2"}},
+            "problem": EXPERIMENT_PROBLEM,
             "family": {"kind": "EpsBumpTrain", "j0": 2, "eps": "1/4", "amp_exp": "1/4"},
             "indices": [4, 5, 6, 7],
             "grid": {"n": 1, "points_per_dim": 4096, "box_length": 4 * math.pi},
@@ -363,6 +366,44 @@ class TestMinimizeCommand:
         for cstar in ("nan", "Infinity"):
             assert regimes[cstar]["regime"] == "OutOfScope"
             assert regimes[cstar]["critical_mass"] is None
+
+    def test_rational_mass_and_box(self, tmp_path):
+        """"masses" and "box_length" take "a/b" like s, m2, beta and cstar:
+        "masses": ["1/2"] exited 2 with "could not convert string to float"."""
+        docs = []
+        for mass, box in (("1/2", "32/2"), (0.5, 16.0)):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({
+                "grid": {"n": 1, "points_per_dim": 64, "box_length": box},
+                "params": {"s": 1, "m2": 0, "beta": "1/2"},
+                "masses": [mass],
+                "options": {"max_iters": 3},
+                "cstar": 1.0,
+            }))
+            proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+            assert proc.returncode in (0, 3), proc.stderr
+            docs.append(json.loads(proc.stdout))
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("command", ["minimize", "harness"])
+    def test_infinite_box_exit_2(self, tmp_path, command):
+        """An infinite box built a grid that failed later in k_min with
+        "math domain error"; the grid now rejects it, in both config readers."""
+        path = tmp_path / "cfg.json"
+        grid = '{"n": 1, "points_per_dim": 64, "box_length": Infinity}'
+        if command == "minimize":
+            path.write_text('{"grid": %s, "params": {"s": 1, "m2": 0, "beta": 0.5}, '
+                            '"masses": [1]}' % grid)
+            args = ["minimize", "--config", str(path)]
+        else:
+            path.write_text('{"grid": %s, "indices": [4, 5, 6, 7], "family": '
+                            '{"kind": "EpsBumpTrain", "eps": "1/4"}, "problem": %s}'
+                            % (grid, json.dumps(EXPERIMENT_PROBLEM)))
+            args = ["harness", "--experiment", str(path)]
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "box_length must be positive and finite" in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_nonfinite_mass_exit_2(self, tmp_path, bad):

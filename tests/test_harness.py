@@ -201,3 +201,44 @@ class TestRegressionTable:
             from gnlab.checker import scaling_balance
 
             assert scaling_balance(inst.problem) == 0
+
+
+class TestPinnedNorms:
+    """The gn_norms triples of one c05 field per grid, pinned as float.hex.
+
+    Performance changes to the norm layer or the generator must keep every
+    value bit for bit; a drift shows here first.  The field is the band
+    [k_min + 1, k_min + 2] of a fixed seed, in Fourier form (F) and after one
+    inverse transform (P).  The values are those of numpy's pocketfft on
+    x86-64; another FFT backend may round differently.
+    """
+
+    PINNED = {
+        (1, "triebel_interp_1d", "F"): ("0x1.938dd270dca69p-1", "0x1.25c0497085c48p+1", "0x1.28d4f4346439ep-2"),
+        (1, "triebel_interp_1d", "P"): ("0x1.938dd270dca6bp-1", "0x1.25c0497085c4ap+1", "0x1.28d4f434643a0p-2"),
+        (1, "besov_equality_q_1d", "F"): ("0x1.b2244dd1aa071p-2", "0x1.2abad29ca1298p-3", "0x1.3e08980e8091dp+1"),
+        (1, "besov_equality_q_1d", "P"): ("0x1.b2244dd1aa072p-2", "0x1.2abad29ca129ap-3", "0x1.3e08980e8091dp+1"),
+        (2, "sup_source_strict_2d", "F"): ("0x1.ebf31cee7225dp-2", "0x1.b131b1257a26fp-1", "0x1.4643d052be271p+0"),
+        (2, "sup_source_strict_2d", "P"): ("0x1.ebf31cee7225fp-2", "0x1.b131b1257a26fp-1", "0x1.4643d052be271p+0"),
+        (2, "ladyzhenskaya_2d", "F"): ("0x1.7ab5a74d4419dp-2", "0x1.fc5630a437142p-1", "0x1.83d7996be987cp+1"),
+        (2, "ladyzhenskaya_2d", "P"): ("0x1.7ab5a74d4419dp-2", "0x1.fc5630a437142p-1", "0x1.83d7996be987cp+1"),
+        (3, "quartic_gradient_3d", "F"): ("0x1.6c997678aaca3p-3", "0x1.5f09cba8b3b12p-6", "0x1.cba76c9b946a7p+1"),
+        (3, "quartic_gradient_3d", "P"): ("0x1.6c997678aaca5p-3", "0x1.5f09cba8b3b13p-6", "0x1.cba76c9b946a8p+1"),
+        (3, "hls_step_mu_3d", "F"): ("0x1.821403ab68931p-2", "0x1.f4f679a9dc3e0p-1", "0x1.96cdac50624bcp+1"),
+        (3, "hls_step_mu_3d", "P"): ("0x1.821403ab68931p-2", "0x1.f4f679a9dc3e2p-1", "0x1.96cdac50624bep+1"),
+    }
+    GRIDS = {1: (4096, 11), 2: (256, 12), 3: (64, 13)}  # points per axis, seed
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_c05_triples_bit_identical(self, n):
+        from gnlab.spectral import to_physical
+
+        points, seed = self.GRIDS[n]
+        g = make_grid(n, points, 4 * math.pi)
+        f = random_band_limited(g, g.k_min + 1, g.k_min + 2, seed)
+        forms = {"F": f, "P": to_physical(f)}
+        insts = {inst.name: inst for inst in regression_table()}
+        for (dim, name, form), want in self.PINNED.items():
+            if dim == n:
+                got = tuple(v.hex() for v in gn_norms(forms[form], insts[name].problem))
+                assert got == want, (name, form)

@@ -327,6 +327,110 @@ class TestNormValues:
             norm_values(f, self.MIXED + [bspec(0.0, 2.0, 2.0, shell_range=(0, 40))])
 
 
+def _no_skip_value(f, spec):
+    """One spec's value with every piece inverted, zero or not: the piece
+    loop of norm_values restated without its zero-piece skip, through the
+    same half-spectrum or full-spectrum inverse."""
+    from gnlab.norms import _lp, _lq_reduce, _pieces
+    from gnlab.spectral import _cutoff, _spectrum, symbol_values
+
+    g = f.grid
+    w = g.quadrature_weight
+    real = f.is_real
+    data, inverse = _spectrum(to_fourier(f), real)
+    terms, agg = [], np.zeros(g.shape)
+    for key, weight in _pieces(g, spec).items():
+        if spec.family is NormFamily.LEBESGUE and f.domain is Domain.PHYSICAL:
+            mag = np.abs(f.data)
+        elif spec.family is NormFamily.LEBESGUE:
+            mag = np.abs(inverse(data) / w)
+        elif key is None or isinstance(key, int):
+            mag = np.abs(inverse(data * _cutoff(g, key, half=real)) / w)
+        else:
+            mag = np.abs(inverse(data * symbol_values(g, key, half=real)) / w)
+        if spec.family not in (NormFamily.HOMOG_TRIEBEL, NormFamily.INHOMOG_TRIEBEL):
+            terms.append(weight * _lp(mag, spec.p, w))
+        elif math.isinf(spec.q):
+            agg = np.maximum(agg, mag * weight)
+        else:
+            agg += (mag * weight) ** spec.q
+    if spec.family in (NormFamily.HOMOG_TRIEBEL, NormFamily.INHOMOG_TRIEBEL):
+        return _lp(agg if math.isinf(spec.q) else agg ** (1.0 / spec.q), spec.p, w)
+    besov = spec.family in (NormFamily.HOMOG_BESOV, NormFamily.INHOMOG_BESOV)
+    return _lq_reduce(terms, spec.q if besov else math.inf)
+
+
+class TestZeroPieces:
+    """A piece with an all-zero spectrum is skipped before its inverse
+    transform, and the values stay bit-identical."""
+
+    SPECS = [
+        NormSpec(family, s, p, q)
+        for family in (NormFamily.HOMOG_BESOV, NormFamily.INHOMOG_BESOV,
+                       NormFamily.HOMOG_TRIEBEL, NormFamily.INHOMOG_TRIEBEL)
+        for q in (0.5, 2.0, math.inf)
+        for s, p in ((0.5, 1.5), (-1.0, 4.0))
+    ] + [
+        NormSpec(NormFamily.LEBESGUE, 0.0, 3.0),
+        NormSpec(NormFamily.HOMOG_SOBOLEV, 1.0, 2.0),
+        NormSpec(NormFamily.BESSEL_SOBOLEV, -0.5, 1.5, m2=1.0),
+    ]
+
+    @staticmethod
+    def _fields(n, m):
+        g = make_grid(n, m, 4 * math.pi)
+        hat = random_band_limited(g, g.k_min + 1, g.k_min + 2, seed=21)
+        skew = hat.with_data(hat.data * (1.0 + 0.5j))
+        return [hat, to_physical(hat), skew, to_physical(skew)]
+
+    @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64), (3, 32)])
+    def test_equal_to_no_skip_oracle(self, n, m):
+        for f in self._fields(n, m):
+            assert norm_values(f, self.SPECS) == [_no_skip_value(f, spec) for spec in self.SPECS]
+
+    @pytest.mark.parametrize("n,m", [(1, 1024), (3, 32)])
+    def test_one_inverse_per_nonzero_piece(self, n, m, monkeypatch):
+        from gnlab.norms import _IDENTITY, _pieces
+        from gnlab.spectral import lowpass_multiplier, shell_multiplier, symbol_values
+
+        calls = []
+        for name in ("ifftn", "irfftn"):
+            orig = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=orig, **k: calls.append(1) or _f(*a, **k))
+        for f in self._fields(n, m):
+            g, hat = f.grid, to_fourier(f).data
+            keys = {key for spec in self.SPECS for key in _pieces(g, spec)}
+            nonzero = 0
+            for key in keys:
+                if key is _IDENTITY:
+                    mult = None if f.domain is Domain.PHYSICAL else 1.0
+                elif key is None:
+                    mult = lowpass_multiplier(g)
+                elif isinstance(key, int):
+                    mult = shell_multiplier(g, key)
+                else:
+                    mult = symbol_values(g, key)
+                nonzero += mult is not None and bool((hat * mult).any())
+            if f.domain is Domain.FOURIER:  # a round trip leaves round-off on every shell
+                assert 0 < nonzero <= len(keys) - 2  # zero shells are present
+            calls.clear()
+            norm_values(f, self.SPECS)
+            assert len(calls) == nonzero
+
+    def test_nan_data_propagates(self):
+        """A NaN off every piece's support still reaches every value: the
+        shell 5 lies off both the band [4, 8] and the NaN at |xi| = 1/2, so
+        a skip decided by supports would read 0 there."""
+        g = make_grid(1, 256, 4 * math.pi)
+        hat = random_band_limited(g, 2, 3, seed=3)
+        data = hat.data.copy()
+        data[1] = math.nan
+        specs = self.SPECS + [bspec(0.0, 2.0, 2.0, shell_range=(5, 5)),
+                              bspec(0.0, 2.0, 2.0, NormFamily.HOMOG_TRIEBEL, (5, 5))]
+        values = norm_values(hat.with_data(data), specs)
+        assert all(math.isnan(v) for v in values)
+
+
 def _hermitian_field(n, m, seed):
     """Fourier-form field with i.i.d. Hermitian-symmetrized data on the whole
     lattice, so the zero and Nyquist planes of the last axis carry content."""

@@ -57,6 +57,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(n, m, 1.0)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_nonpositive_or_nonfinite_box(self, length):
+        """An infinite box used to build and fail later in k_min with
+        "math domain error"."""
+        with pytest.raises(ValueError, match="box_length must be positive and finite"):
+            make_grid(1, 64, length)
+
 
 class TestTransform:
     def test_zero_field(self):
@@ -106,6 +113,19 @@ class TestCutoff:
         assert vals[0] == 1.0 and vals[1] == 1.0 and vals[2] == 1.0
         assert 0 < vals[3] < 1
         assert vals[4] == 0.0 and vals[5] == 0.0
+
+    def test_psi_equals_full_array_formula(self):
+        """psi evaluates exp on its transition band only; the values are the
+        bytes of the formula evaluated on every sample."""
+        from oracles import psi_full_array
+
+        t = np.concatenate([
+            np.linspace(0.0, 2.0, 20001),
+            [1.0, 1.5, np.nextafter(1.0, 2.0), np.nextafter(1.5, 0.0), -1.0, np.inf, np.nan],
+        ])
+        for x in (t, 2.0 * t, t * 0.37):
+            assert psi(x).tobytes() == psi_full_array(x).tobytes()
+        assert psi(1.25) == psi_full_array(1.25) and psi(1.25).shape == ()
 
     def test_phi_exact_one_on_band(self):
         t = np.array([0.75, 0.9, 1.0])

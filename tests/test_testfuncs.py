@@ -187,6 +187,40 @@ class TestRandomBandLimited:
                 assert not f.data[off].any()
                 assert np.array_equal(f.data, _conjugate_reverse(f.data))
 
+    @pytest.mark.parametrize("n,m", [(1, 4096), (2, 256), (3, 64), (3, 32)])
+    def test_bytes_equal_full_lattice_generator(self, n, m):
+        """Drawing on the whole lattice and symmetrizing on the annulus only
+        gives the bytes of the full-lattice mask-and-mirror generator, for
+        every band of the c05 sweep and three seeds."""
+        from oracles import band_limited_full_lattice
+
+        g = make_grid(n, m, 4 * math.pi)
+        for k in range(g.k_min, min(g.k_min + 4, g.k_max)):
+            for seed in (0, 1, 2):
+                want = band_limited_full_lattice(n, m, 4 * math.pi, k, k + 1, seed)
+                got = random_band_limited(g, k, k + 1, seed).data
+                assert got.tobytes() == want.tobytes(), (k, seed)
+
+    def test_recorded_real_without_mirror(self, monkeypatch):
+        """is_real is recorded at construction: it holds with the Hermitian
+        mirror unavailable, and stays unsettable."""
+        import dataclasses
+
+        from gnlab import spectral
+
+        def no_mirror(arr):
+            raise AssertionError("Hermitian mirror rebuilt")
+
+        monkeypatch.setattr(spectral, "_conjugate_reverse", no_mirror)
+        g = make_grid(3, 32, 4 * math.pi)
+        f = random_band_limited(g, g.k_min, g.k_max, seed=3)
+        assert not f.data.flags.writeable
+        assert f.is_real
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.is_real = False
+        with pytest.raises(AssertionError, match="mirror rebuilt"):
+            f.with_data(f.data).is_real  # a plain Field still decides exactly
+
     def test_empty_annulus_rejected(self):
         g = make_grid(1, 64, 2.0)  # lattice multiples of pi miss the sphere |xi| = 8
         with pytest.raises(ValueError, match="empty annulus"):
