@@ -27,11 +27,11 @@ import gnlab
 
 from . import fieldio
 from .checker import GNProblem, check_by_rule, auto_check
-from .harness import eps_bump_family_for, growth_experiment
+from .harness import growth_experiment
 from .norms import NormFamily, NormSpec, compute_norm
 from .rational import as_exact, as_fraction, format_rational
-from .regression import regression_table, run_regression
-from .spectral import Grid, make_grid
+from .regression import run_regression, section_slope
+from .spectral import Domain, Field, Grid, make_grid
 from .testfuncs import FamilyKind, LacunaryFamily, build_family, gaussian, random_band_limited
 from .variational import (
     EnergyParams,
@@ -86,7 +86,12 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def atomic_write(path: Path, text: str) -> None:
+def _write(path, text: str) -> None:
+    """Write `text` atomically to `path`, or to stdout when `path` is None
+    or empty."""
+    if not path:
+        sys.stdout.write(text)
+        return
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -101,11 +106,7 @@ def atomic_write(path: Path, text: str) -> None:
 
 
 def emit(args, payload: dict) -> None:
-    text = canonical_json(payload) + "\n"
-    if getattr(args, "output", None):
-        atomic_write(Path(args.output), text)
-    else:
-        sys.stdout.write(text)
+    _write(getattr(args, "output", None), canonical_json(payload) + "\n")
 
 
 def _strict_load(path: str, required: set, optional: set = frozenset()) -> dict:
@@ -171,22 +172,23 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
+def _family(kind: str, n: int, params: dict, index: int = 1, j0=2) -> LacunaryFamily:
+    """The family of `kind` with exact `params`, of which only the
+    LacunaryFamily exponents are allowed."""
+    unknown = set(params) - {"eps", "s", "inv_p", "lam", "amp_exp"}
+    if unknown:
+        raise ValueError(f"unknown family params {sorted(unknown)}")
+    return LacunaryFamily(
+        kind=FamilyKind(kind), n=n, index=index, j0=int(j0),
+        **{k: as_fraction(v) for k, v in params.items()},
+    )
+
+
 def cmd_family(args) -> int:
     grid = make_grid(args.n, args.points, args.box_length)
     params = json.loads(args.params) if args.params else {}
-    allowed = {"eps", "s", "inv_p", "lam", "amp_exp"}
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(f"unknown family params {sorted(unknown)}")
-    fam = LacunaryFamily(
-        kind=FamilyKind(args.kind),
-        n=args.n,
-        index=args.index,
-        j0=args.j0,
-        **{k: as_fraction(v) for k, v in params.items()},
-    )
-    field = build_family(fam, grid)
-    fieldio.write_gnf(args.output, field)
+    fam = _family(args.kind, args.n, params, args.index, args.j0)
+    fieldio.write_gnf(args.output, build_family(fam, grid))
     return EXIT_OK
 
 
@@ -206,30 +208,21 @@ def cmd_experiment(args) -> int:
     """Custom growth experiment from a JSON config; per-index CSV rows plus a
     JSON summary with the fitted slope and the exact verdict."""
     cfg = _strict_load(
-        args.config,
+        args.experiment,
         required={"problem", "family", "indices", "grid"},
         optional={"rule"},
     )
     problem = GNProblem.from_json_dict(cfg["problem"])
     grid = _config_grid(cfg["grid"])
     fspec = dict(cfg["family"])
-    kind = FamilyKind(fspec.pop("kind"))
-    j0 = int(fspec.pop("j0", 2))
-    fam = LacunaryFamily(
-        kind=kind, n=problem.n, index=1, j0=j0,
-        **{k: as_fraction(v) for k, v in fspec.items()},
-    )
-    exp = growth_experiment(problem, fam, cfg["indices"], grid)
+    kind, j0 = fspec.pop("kind"), fspec.pop("j0", 2)
+    exp = growth_experiment(problem, _family(kind, problem.n, fspec, j0=j0), cfg["indices"], grid)
     lines = ["index,target_norm,source0_norm,source1_norm,ratio"]
     for count, (tn, s0, s1), ratio in zip(exp.indices, exp.norms, exp.ratios):
         lines.append(
             f"{count},{format_float(tn)},{format_float(s0)},{format_float(s1)},{format_float(ratio)}"
         )
-    csv_text = "\n".join(lines) + "\n"
-    if args.output:
-        atomic_write(Path(args.output), csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(args.output, "\n".join(lines) + "\n")
     if args.summary:
         payload = {
             "fitted_slope": exp.fitted_slope,
@@ -237,61 +230,37 @@ def cmd_experiment(args) -> int:
             "verdict": exp.verdict.to_json_dict(),
             "bounded": exp.fitted_slope <= 0.05,
         }
-        atomic_write(Path(args.summary), canonical_json(payload) + "\n")
+        _write(args.summary, canonical_json(payload) + "\n")
     return EXIT_OK
 
 
 def cmd_harness(args) -> int:
     if args.experiment:
-        args.config = args.experiment
         return cmd_experiment(args)
     if args.suite != "regression":
         raise ValueError(f"unknown suite {args.suite!r}")
-    from .harness import transpose_to_1d
-
-    rows = run_regression()
-    table = regression_table()
     lines = ["name,status,violated,residual,mutant,mutant_status,mutant_violated,fitted_slope"]
     summary = []
-    for inst, row in zip(table, rows):
-        slope = ""
-        if not args.checks_only:
-            # slope experiments run on the slope-preserving 1d section
-            section = transpose_to_1d(inst.problem)
-            grid = make_grid(1, 4096, 4.0 * math.pi)
-            fam = eps_bump_family_for(section)
-            exp = growth_experiment(section, fam, (3, 4, 5, 6), grid)
-            slope = format_float(exp.fitted_slope)
+    for row in run_regression():
+        inst = row.instance
+        slope = None if args.checks_only else section_slope(inst.problem)
         lines.append(
             ",".join([
-                row.name,
+                inst.name,
                 row.verdict.status.value,
                 "|".join(row.verdict.violated),
                 str(row.verdict.residual),
-                row.mutant_name,
+                inst.mutant.name,
                 row.mutant_verdict.status.value,
                 "|".join(row.mutant_verdict.violated),
-                slope,
+                "" if slope is None else format_float(slope),
             ])
         )
-        summary.append({
-            "name": row.name,
-            "ok": row.ok,
-            "fitted_slope": None if slope == "" else float(slope),
-        })
-    csv_text = "\n".join(lines) + "\n"
-    if args.output:
-        atomic_write(Path(args.output), csv_text)
-    else:
-        sys.stdout.write(csv_text)
+        summary.append({"name": inst.name, "ok": row.ok, "fitted_slope": slope})
+    _write(args.output, "\n".join(lines) + "\n")
     if args.summary:
-        atomic_write(Path(args.summary), canonical_json({"rows": summary}) + "\n")
+        _write(args.summary, canonical_json({"rows": summary}) + "\n")
     return EXIT_OK
-
-
-def _load_multifield(paths, masses) -> MultiField:
-    comps = tuple(fieldio.read_gnf(p) for p in paths)
-    return MultiField(comps, tuple(masses))
 
 
 def _parse_g(text: str):
@@ -320,22 +289,20 @@ def cmd_minimize(args) -> int:
     masses = [_parse_real(str(c)) for c in cfg["masses"]]
     initial = cfg.get("initial")
     if initial:
-        u0 = _load_multifield(initial, masses)
+        comps = tuple(fieldio.read_gnf(p) for p in initial)
     else:
-        from .spectral import Domain, Field
-
         width = grid.box_length / 8.0
         data = np.exp(-grid.coord_radius2() / (2.0 * width ** 2))
         comps = tuple(Field(grid, Domain.PHYSICAL, data) for _ in masses)
-        u0 = MultiField(comps, tuple(masses))
+    u0 = MultiField(comps, tuple(masses))
     opts = MinimizeOptions(**cfg.get("options", {}))
     result = minimize(u0, params, opts)
     prefix = cfg.get("output_prefix")
     if prefix:
         for i, comp in enumerate(result.u_final.components):
             fieldio.write_gnf(f"{prefix}.component{i}.gnf", comp)
-        atomic_write(
-            Path(f"{prefix}.trace.csv"),
+        _write(
+            f"{prefix}.trace.csv",
             "iteration,energy\n"
             + "\n".join(f"{i},{format_float(e)}" for i, e in enumerate(result.energy_trace))
             + "\n",
@@ -389,7 +356,7 @@ def cstar_cached(n: int, beta, grid: Grid) -> float:
     if math.isfinite(value):
         return value
     est = estimate_cstar(n, float(beta), grid)
-    atomic_write(path, canonical_json({"value": est.value}) + "\n")
+    _write(path, canonical_json({"value": est.value}) + "\n")
     return est.value
 
 
@@ -410,13 +377,19 @@ def cmd_regimes(args) -> int:
         cstar = cstar_cached(args.n, args.beta, grid)
     else:
         cstar = _parse_real(args.cstar)
-    report = regime_classify(
-        args.n, args.beta, args.s, args.m2, float(args.c), cstar, _parse_g(args.g)
-    )
+    report = regime_classify(args.n, args.beta, args.s, args.m2, args.c, cstar, _parse_g(args.g))
     payload = report.to_json_dict()
     payload["cstar"] = cstar
     emit(args, payload)
     return EXIT_OK
+
+
+def _add_grid_flags(c, points: Optional[int] = None, box_length: Optional[float] = None) -> None:
+    """--n, --points and --box-length, the last read by _parse_real; a flag
+    without a default is required."""
+    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--points", type=int, required=points is None, default=points)
+    c.add_argument("--box-length", type=_parse_real, required=box_length is None, default=box_length)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,9 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("family", help="emit a lacunary family as GNF1")
     c.add_argument("--kind", required=True, choices=[k.value for k in FamilyKind])
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--points", type=int, required=True)
-    c.add_argument("--box-length", type=float, required=True)
+    _add_grid_flags(c)
     c.add_argument("--index", type=int, required=True)
     c.add_argument("--j0", type=int, default=2)
     c.add_argument("--params", help='JSON object, e.g. {"eps": "1/4"}')
@@ -453,17 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_family)
 
     c = sub.add_parser("gaussian", help="emit a Gaussian field as GNF1")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--points", type=int, required=True)
-    c.add_argument("--box-length", type=float, required=True)
-    c.add_argument("--width", type=float, required=True)
+    _add_grid_flags(c)
+    c.add_argument("--width", type=_parse_real, required=True)
     c.add_argument("--output", required=True)
     c.set_defaults(fn=cmd_gaussian)
 
     c = sub.add_parser("random", help="emit a random band-limited field as GNF1")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--points", type=int, required=True)
-    c.add_argument("--box-length", type=float, required=True)
+    _add_grid_flags(c)
     c.add_argument("--k-lo", type=int, required=True)
     c.add_argument("--k-hi", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
@@ -485,24 +452,20 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_minimize)
 
     c = sub.add_parser("cstar", help="estimate the sharp interaction constant")
-    c.add_argument("--n", type=int, required=True)
+    _add_grid_flags(c)
     c.add_argument("--beta", type=as_fraction, required=True)
-    c.add_argument("--points", type=int, required=True)
-    c.add_argument("--box-length", type=float, required=True)
     c.add_argument("--no-cache", action="store_true")
     c.add_argument("--output")
     c.set_defaults(fn=cmd_cstar)
 
     c = sub.add_parser("regimes", help="classify the minimizer-existence regime")
-    c.add_argument("--n", type=int, required=True)
+    _add_grid_flags(c, points=32, box_length=16.0)
     c.add_argument("--beta", type=as_fraction, required=True)
     c.add_argument("--s", type=as_fraction, required=True)
     c.add_argument("--m2", type=as_fraction, required=True)
-    c.add_argument("--c", type=as_fraction, required=True)
+    c.add_argument("--c", type=_parse_real, required=True)
     c.add_argument("--cstar", default="auto")
     c.add_argument("--g", default="sum_squares")
-    c.add_argument("--points", type=int, default=32)
-    c.add_argument("--box-length", type=float, default=16.0)
     c.add_argument("--output")
     c.set_defaults(fn=cmd_regimes)
     return ap
@@ -527,7 +490,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         _check_output_paths(args)
         return args.fn(args)
-    except (ValueError, TypeError, KeyError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, ZeroDivisionError, OverflowError) as exc:
         print(f"gnlab: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FloatingPointError, RuntimeError) as exc:

@@ -58,4 +58,4 @@ def read_gnf(path: Union[str, Path]) -> Field:
     if len(raw) != expected:
         raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
     data = np.frombuffer(raw, dtype="<c16").reshape(grid.shape)
-    return Field(grid, Domain(header["domain"]), data.astype(np.complex128))
+    return Field(grid, Domain(header["domain"]), data)

@@ -23,7 +23,7 @@ from .checker import (
     Verdict,
     check_by_rule,
 )
-from .harness import eps_bump_family_for, scaled_family_for
+from .harness import eps_bump_family_for, growth_experiment, scaled_family_for, transpose_to_1d
 from .spectral import Grid
 from .testfuncs import FamilyKind, LacunaryFamily
 
@@ -169,9 +169,8 @@ def regression_table() -> List[RegressionInstance]:
 
 @dataclass
 class RegressionRow:
-    name: str
+    instance: RegressionInstance
     verdict: Verdict
-    mutant_name: str
     mutant_verdict: Verdict
     ok: bool
 
@@ -188,8 +187,16 @@ def run_regression() -> List[RegressionRow]:
             and mv.status is Status.FAILS
             and tuple(mv.violated) == inst.mutant.expected_codes
         )
-        rows.append(RegressionRow(inst.name, v, inst.mutant.name, mv, ok))
+        rows.append(RegressionRow(inst, v, mv, ok))
     return rows
+
+
+def section_slope(problem: GNProblem) -> float:
+    """Fitted blow-up slope of the eps-bump family on the slope-preserving
+    1d section of `problem`, counts 3-6 on a 4096-point grid of length 4 pi."""
+    section = transpose_to_1d(problem)
+    fam = eps_bump_family_for(section)
+    return growth_experiment(section, fam, (3, 4, 5, 6), Grid(1, 4096, 4.0 * math.pi)).fitted_slope
 
 
 # ---------------------------------------------------------------------------

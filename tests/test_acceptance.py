@@ -18,11 +18,9 @@ from oracles import lattice_riesz_kernel, pair_interaction_product_density
 from gnlab.checker import Status
 from gnlab.harness import (
     convexity_check,
-    eps_bump_family_for,
     fit_slope,
     growth_experiment,
     random_ratio_sweep,
-    transpose_to_1d,
 )
 from gnlab.norms import NormFamily, NormSpec, besov_norm, lp_norm, sobolev_norm
 from gnlab.regression import (
@@ -30,6 +28,7 @@ from gnlab.regression import (
     regression_table,
     run_regression,
     scaled_blowup_case,
+    section_slope,
     triebel_blowup_case,
 )
 from gnlab.spectral import (
@@ -73,8 +72,7 @@ def test_c01_checker_regression_table():
     all_ok = all(r.ok for r in rows)
     holds = all(r.verdict.status is Status.HOLDS for r in rows)
     named = all(
-        tuple(r.mutant_verdict.violated) == inst.mutant.expected_codes
-        for r, inst in zip(rows, regression_table())
+        tuple(r.mutant_verdict.violated) == r.instance.mutant.expected_codes for r in rows
     )
     ok = all_ok and holds and named and len(rows) >= 12 and elapsed < 1.0
     line(1, ok, f"{len(rows)} instances Holds, mutants name their condition, {elapsed:.3f}s < 1s")
@@ -179,10 +177,7 @@ def test_c05_sufficiency_boundedness():
     grid_1d = make_grid(1, 4096, 4 * math.pi)
     grids_nd = {1: grid_1d, 2: make_grid(2, 256, 4 * math.pi), 3: make_grid(3, 64, 4 * math.pi)}
     for inst in regression_table():
-        section = transpose_to_1d(inst.problem)
-        fam = eps_bump_family_for(section)
-        exp = growth_experiment(section, fam, (3, 4, 5, 6), grid_1d)
-        worst_family = max(worst_family, exp.fitted_slope)
+        worst_family = max(worst_family, section_slope(inst.problem))
 
         g = grids_nd[inst.problem.n]
         bands = list(range(g.k_min, min(g.k_min + 4, g.k_max)))

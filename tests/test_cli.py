@@ -135,6 +135,18 @@ class TestFieldCommands:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
+    def test_rational_box_and_width(self, tmp_path):
+        """--box-length and --width take "a/b", as a config's box_length does;
+        --box-length 32/2 was an argparse error."""
+        blobs = []
+        for box, width in (("16", "1.5"), ("32/2", "1.5"), ("16", "3/2")):
+            out = tmp_path / f"g{len(blobs)}.gnf"
+            assert cli.main(["gaussian", "--n", "2", "--points", "64", "--box-length", box,
+                             "--width", width, "--output", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[1] == blobs[0]
+        assert blobs[2] == blobs[0]
+
     def test_os_errors_exit_2(self, tmp_path):
         """A directory where a file is expected is an IsADirectoryError, an
         OSError like a missing file."""
@@ -253,6 +265,20 @@ class TestHarnessCommand:
         doc = json.loads(summ.read_text())
         assert all(row["ok"] for row in doc["rows"])
 
+    def test_suite_artifacts_pinned(self, tmp_path):
+        """The full suite's CSV and summary, slopes included, are pinned byte
+        for byte (sha256 captured on x86-64 Linux with numpy 2.4)."""
+        import hashlib
+
+        out, summ = tmp_path / "suite.csv", tmp_path / "suite.json"
+        assert cli.main(["harness", "--suite", "regression",
+                         "--output", str(out), "--summary", str(summ)]) == 0
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, summ)]
+        assert digests == [
+            "54d20744225b70c4dbe378c271e0f43f43efb310664cd8bbcb1f9db07a7757bb",
+            "8c411cd3ef0be7c25c33d34a20af2f11e3677bb6bfc21dc6857447d600beee9a",
+        ]
+
 
 EXPERIMENT_PROBLEM = {"n": 1, "theta": "1/2", "scale": "HomogBesov",
                       "target": {"s": "1/2", "p": "4/3", "q": "2"},
@@ -282,6 +308,21 @@ class TestExperimentCommand:
         assert doc["verdict"]["violated"] == ["1.9"]
         assert doc["fitted_slope"] == pytest.approx(0.25, rel=0.15)
         assert doc["bounded"] is False
+
+    def test_unknown_family_key_exit_2(self, tmp_path, capsys):
+        """The config's family is read as family --params is; an unknown key
+        was a TypeError from the LacunaryFamily constructor."""
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "problem": EXPERIMENT_PROBLEM,
+            "family": {"kind": "EpsBumpTrain", "eps": "1/4", "width": 2},
+            "indices": [4, 5, 6, 7],
+            "grid": {"n": 1, "points_per_dim": 4096, "box_length": 4 * math.pi},
+        }))
+        assert cli.main(["harness", "--experiment", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown family params ['width']" in captured.err
+        assert captured.out == ""
 
 
 class TestMinimizeCommand:
@@ -405,6 +446,21 @@ class TestMinimizeCommand:
         assert "box_length must be positive and finite" in proc.stderr
         assert proc.stdout == ""
 
+    def test_param_too_large_exit_2(self, tmp_path):
+        """"s": "1e400" is exact but has no float; it was an OverflowError
+        traceback, exit 1."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 16.0},
+            "params": {"s": "1e400", "m2": 0, "beta": "1/2"},
+            "masses": [1.0],
+        }))
+        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("gnlab: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_nonfinite_mass_exit_2(self, tmp_path, bad):
         """A NaN or infinite mass used to pass MultiField and end as a
@@ -472,6 +528,20 @@ class TestRegimesCommand:
         assert doc["note"] == "parameters out of range"
         assert doc["critical_mass"] is None
 
+    @pytest.mark.parametrize("c", ["1e400", "nan"])
+    def test_nonfinite_c_out_of_scope(self, tmp_path, c):
+        """--c is read as a real: 1e400 was an OverflowError traceback (exit 1)
+        and nan a parse error (exit 2)."""
+        proc = run_cli(
+            ["regimes", "--n", "3", "--beta", "1", "--s", "1", "--m2", "0",
+             "--c", c, "--cstar", "1"],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["regime"] == "OutOfScope"
+        assert doc["critical_mass"] is None
+
     @pytest.mark.parametrize("g", ["sum_powers:1e400", "product_powers:1e400,1", "sum_powers:nan"])
     def test_nonfinite_exponent_exits_2(self, tmp_path, g):
         """An exponent too large for a float was an OverflowError traceback, exit 1."""
@@ -507,6 +577,16 @@ class TestCStarCommand:
         doc = json.loads(proc.stdout)
         assert doc["cstar"] > 0
 
+
+    def test_beta_too_large_exit_2(self, tmp_path):
+        """--beta 1e400 is exact but has no float; it was an OverflowError
+        traceback, exit 1."""
+        proc = run_cli(["cstar", "--n", "3", "--beta", "1e400", "--points", "16",
+                        "--box-length", "12", "--no-cache"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("gnlab: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("damaged", ['{"val', '{"value": NaN}\n', "[]\n"])
     def test_damaged_cache_entry_is_a_miss(self, tmp_path, monkeypatch, damaged):

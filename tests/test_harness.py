@@ -194,7 +194,7 @@ class TestRegressionTable:
         rows = run_regression()
         assert len(rows) >= 12
         for row in rows:
-            assert row.ok, f"{row.name}: {row.verdict} / {row.mutant_verdict}"
+            assert row.ok, f"{row.instance.name}: {row.verdict} / {row.mutant_verdict}"
 
     def test_instances_have_zero_residual(self):
         for inst in regression_table():

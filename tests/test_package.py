@@ -75,3 +75,17 @@ def test_readme_private_names_are_functions():
              if (m := re.fullmatch(r"(_\w+)(?:\(.*\))?", span))]
     assert names
     assert [name for name in names if name not in functions] == []
+
+
+def test_no_function_level_imports():
+    """Every import in gnlab is at module level, so a module's dependencies
+    are the ones its header lists."""
+    inner = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert inner == []

@@ -423,6 +423,8 @@ class TestGNF1:
         assert back.grid == g
         assert back.domain is Domain.FOURIER
         assert np.array_equal(back.data, f.data)
+        assert back.data.dtype == np.complex128
+        assert not back.data.flags.owndata  # the read-only view of the file's bytes
 
     def test_magic_validated(self, tmp_path):
         path = tmp_path / "bad.gnf"
