@@ -151,6 +151,19 @@ def _parse_real(text: str) -> float:
         raise ValueError(f"{text!r} is too large for a float") from None
 
 
+def _arg_type(parse, name: str):
+    """`parse` as an argparse type whose errors read "invalid <name> value"
+    rather than naming the function."""
+    def arg(text: str):
+        return parse(text)
+    arg.__name__ = name
+    return arg
+
+
+REAL_ARG = _arg_type(_parse_real, "number (decimal or a/b)")
+RATIONAL_ARG = _arg_type(as_fraction, "rational (decimal or a/b)")
+
+
 def _config_grid(gspec: dict) -> Grid:
     """The grid of a config's "grid" object; box_length also takes "a/b"."""
     box = _parse_real(str(gspec["box_length"]))
@@ -172,6 +185,13 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
+def _family_spec(value) -> dict:
+    """A copy of a family's JSON parameters, which must form an object."""
+    if not isinstance(value, dict):
+        raise ValueError("family parameters must be a JSON object, e.g. {\"eps\": \"1/4\"}")
+    return dict(value)
+
+
 def _family(kind: str, n: int, params: dict, index: int = 1, j0=2) -> LacunaryFamily:
     """The family of `kind` with exact `params`, of which only the
     LacunaryFamily exponents are allowed."""
@@ -186,7 +206,7 @@ def _family(kind: str, n: int, params: dict, index: int = 1, j0=2) -> LacunaryFa
 
 def cmd_family(args) -> int:
     grid = make_grid(args.n, args.points, args.box_length)
-    params = json.loads(args.params) if args.params else {}
+    params = _family_spec(json.loads(args.params)) if args.params else {}
     fam = _family(args.kind, args.n, params, args.index, args.j0)
     fieldio.write_gnf(args.output, build_family(fam, grid))
     return EXIT_OK
@@ -214,7 +234,7 @@ def cmd_experiment(args) -> int:
     )
     problem = GNProblem.from_json_dict(cfg["problem"])
     grid = _config_grid(cfg["grid"])
-    fspec = dict(cfg["family"])
+    fspec = _family_spec(cfg["family"])
     kind, j0 = fspec.pop("kind"), fspec.pop("j0", 2)
     exp = growth_experiment(problem, _family(kind, problem.n, fspec, j0=j0), cfg["indices"], grid)
     lines = ["index,target_norm,source0_norm,source1_norm,ratio"]
@@ -389,7 +409,7 @@ def _add_grid_flags(c, points: Optional[int] = None, box_length: Optional[float]
     without a default is required."""
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--points", type=int, required=points is None, default=points)
-    c.add_argument("--box-length", type=_parse_real, required=box_length is None, default=box_length)
+    c.add_argument("--box-length", type=REAL_ARG, required=box_length is None, default=box_length)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("gaussian", help="emit a Gaussian field as GNF1")
     _add_grid_flags(c)
-    c.add_argument("--width", type=_parse_real, required=True)
+    c.add_argument("--width", type=REAL_ARG, required=True)
     c.add_argument("--output", required=True)
     c.set_defaults(fn=cmd_gaussian)
 
@@ -453,17 +473,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cstar", help="estimate the sharp interaction constant")
     _add_grid_flags(c)
-    c.add_argument("--beta", type=as_fraction, required=True)
+    c.add_argument("--beta", type=RATIONAL_ARG, required=True)
     c.add_argument("--no-cache", action="store_true")
     c.add_argument("--output")
     c.set_defaults(fn=cmd_cstar)
 
     c = sub.add_parser("regimes", help="classify the minimizer-existence regime")
     _add_grid_flags(c, points=32, box_length=16.0)
-    c.add_argument("--beta", type=as_fraction, required=True)
-    c.add_argument("--s", type=as_fraction, required=True)
-    c.add_argument("--m2", type=as_fraction, required=True)
-    c.add_argument("--c", type=_parse_real, required=True)
+    c.add_argument("--beta", type=RATIONAL_ARG, required=True)
+    c.add_argument("--s", type=RATIONAL_ARG, required=True)
+    c.add_argument("--m2", type=RATIONAL_ARG, required=True)
+    c.add_argument("--c", type=REAL_ARG, required=True)
     c.add_argument("--cstar", default="auto")
     c.add_argument("--g", default="sum_squares")
     c.add_argument("--output")

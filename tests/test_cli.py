@@ -248,6 +248,33 @@ class TestFieldCommands:
         assert "admissible count" in proc.stderr
         assert not (tmp_path / "x.gnf").exists()
 
+    @pytest.mark.parametrize("params", ["[]", '"eps"', "null"])
+    def test_non_object_params_exit_2(self, tmp_path, capsys, params):
+        """--params '[]' was an AttributeError traceback, exit 1."""
+        out = tmp_path / "x.gnf"
+        code = cli.main(["family", "--kind", "EpsBumpTrain", "--n", "1", "--points", "256",
+                         "--box-length", "12", "--index", "3", "--params", params,
+                         "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "gnlab: family parameters must be a JSON object, e.g. {\"eps\": \"1/4\"}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["gaussian", "--n", "1", "--points", "64", "--box-length", "x", "--width", "1",
+          "--output", "g.gnf"],
+         "argument --box-length: invalid number (decimal or a/b) value: 'x'"),
+        (["cstar", "--n", "3", "--points", "16", "--box-length", "12", "--beta", "x"],
+         "argument --beta: invalid rational (decimal or a/b) value: 'x'"),
+    ])
+    def test_type_errors_name_the_accepted_forms(self, capsys, argv, expected):
+        """argparse named the parser functions: "invalid _parse_real value"."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert expected in err
+        assert "_parse_real" not in err and "as_fraction" not in err
+
 
 class TestHarnessCommand:
     def test_regression_csv(self, tmp_path):
@@ -323,6 +350,18 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert "unknown family params ['width']" in captured.err
         assert captured.out == ""
+
+    def test_non_object_family_exit_2(self, tmp_path, capsys):
+        """A family that is not an object gets the family --params message."""
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "problem": EXPERIMENT_PROBLEM,
+            "family": ["EpsBumpTrain"],
+            "indices": [4, 5],
+            "grid": {"n": 1, "points_per_dim": 4096, "box_length": 4 * math.pi},
+        }))
+        assert cli.main(["harness", "--experiment", str(path)]) == 2
+        assert capsys.readouterr().err == "gnlab: family parameters must be a JSON object, e.g. {\"eps\": \"1/4\"}\n"
 
 
 class TestMinimizeCommand:

@@ -89,3 +89,10 @@ def test_no_function_level_imports():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert inner == []
+
+
+def test_version_matches_pyproject():
+    """The C* cache keys on gnlab.__version__, so it must move with the
+    release number in pyproject.toml."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == gnlab.__version__
