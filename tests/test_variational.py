@@ -284,6 +284,80 @@ class TestHalfSpectrum:
             assert np.max(np.abs(g.data.real - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestPinnedOutputs:
+    """Solver and kernel outputs pinned bit for bit, so that a performance
+    change to the transforms or the work arrays shows any drift here first.
+    The values are those of numpy's pocketfft on x86-64; another FFT backend
+    may round differently."""
+
+    MINIMIZE = {
+        "gaussian": (
+            12,
+            ["-0x1.49b4635083c4cp-5", "-0x1.68c32d63e0d0cp-5", "-0x1.6f42326c21248p-5",
+             "-0x1.7133122d8c71cp-5", "-0x1.72176d406c094p-5", "-0x1.72a1b14cfd678p-5",
+             "-0x1.72fe52f5c1878p-5", "-0x1.733e010ccf6a8p-5", "-0x1.7369f17164884p-5",
+             "-0x1.7388366a828b8p-5", "-0x1.739d038c0e598p-5", "-0x1.73ab46a1c9db4p-5",
+             "-0x1.73b50912f2344p-5"],
+            ["0x1.2b6e9cee32a1bp-1"],
+            "0x1.71e9ceca121d7p-9",
+            "1dc5fcee9da4d28333b9926cd19e3e50355c4a142552df4d587149f6f2bc83ca",
+        ),
+        "random": (
+            12,
+            ["0x1.e6cd4f303935cp+1", "0x1.58a4fc43c9ee4p-12", "0x1.0ef84c138a130p-15",
+             "-0x1.e390cda275680p-18", "-0x1.515d34b9e0bc0p-16", "-0x1.ad755bcf94200p-16",
+             "-0x1.dc5ba2b1d0c80p-16", "-0x1.f83b4a45a3180p-16", "-0x1.059efa249b3f0p-15",
+             "-0x1.0ce5074ffdd40p-15", "-0x1.12f9930dca8c0p-15", "-0x1.18640efd3b230p-15",
+             "-0x1.1d6e92e746e10p-15"],
+            ["0x1.ecdae102e3512p-10"],
+            "0x1.aea01b2efb938p-11",
+            "d8baec06d3e987e15d0725e0d7fe02ae7fd496cae7d6db252cd5ae6354b99e1e",
+        ),
+    }
+    # per grid: sha256 of (energy for G = product, energy for G = sum of
+    # squares, upsilon_beta, scaling_profile energies) and of both gradients
+    KERNEL = {
+        (1, 256, 20.0): ("d4baa49ff39c928aac7202933da0b742335d582e4677543f74849ca789371789",
+                         "9a9640ee7f1696862ed41d84c0a8379099b389d1eec049946436c188173c4d1b"),
+        (2, 32, 10.0): ("5dd43ea96ee3312090eead4194ec68b103a680530ac2bef49e886bc7d33daabe",
+                        "cc99a9a2e38f54616ae6d4eca83e61335b0a3304b0364b28a0b6e69d4b6f9575"),
+        (3, 16, 8.0): ("5991e211df6b6bbc851aae1fcd94f63d9208c4eb7e887504f5279510bd626b96",
+                       "f062a130f464ac63c873bec741168385d6ae1596ede81ab2888e8e5b088af78b"),
+    }
+
+    @staticmethod
+    def digest(values):
+        import hashlib
+
+        return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("start", ["gaussian", "random"])
+    def test_short_minimize(self, start):
+        grid = make_grid(3, 32, 16.0)
+        params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
+        f = gaussian(grid, 2.0) if start == "gaussian" else positive_random_field(grid, 101)
+        res = minimize(MultiField((f,), (1.0,)), params, MinimizeOptions(max_iters=12, tol=1e-10))
+        got = (
+            res.iterations,
+            [e.hex() for e in res.energy_trace],
+            [m.hex() for m in res.multipliers],
+            res.el_residual.hex(),
+            self.digest(res.u_final.arrays()[0]),
+        )
+        assert got == self.MINIMIZE[start]
+
+    @pytest.mark.parametrize("n,m,box", list(KERNEL))
+    def test_kernel_outputs(self, n, m, box):
+        grid = make_grid(n, m, box)
+        u = MultiField((positive_random_field(grid, 7), positive_random_field(grid, 8)), (1.0, 0.5))
+        product = EnergyParams(s=0.75, m2=0.5, beta=0.5, G=ProductPowers((1.5, 1.5)))
+        squares = EnergyParams(s=0.75, m2=0.5, beta=0.5, G=sum_squares())
+        values = [energy(u, product), energy(u, squares), upsilon_beta(u, 0.5)]
+        values += scaling_profile(u, squares, [0.5, 1.0, 3.0]).energies
+        grads = [g.data.real.ravel() for p in (product, squares) for g in energy_gradient(u, p)]
+        assert (self.digest(values), self.digest(np.concatenate(grads))) == self.KERNEL[(n, m, box)]
+
+
 class TestProjectionAndRearrangement:
     def test_project_idempotent_and_exact(self):
         grid = make_grid(2, 32, 10.0)
