@@ -96,6 +96,11 @@ class Grid:
         """|xi| on the full lattice, shape == grid.shape."""
         return _freq_radius(self.n, self.points_per_dim, self.box_length)
 
+    @property
+    def half_shape(self) -> Tuple[int, ...]:
+        """Shape of a half spectrum: the last axis keeps 0 .. m/2."""
+        return self.shape[:-1] + (self.points_per_dim // 2 + 1,)
+
     def coord_radius2(self) -> np.ndarray:
         """|x|^2 on the full lattice (FFT layout)."""
         return _coord_radius2(self.n, self.points_per_dim, self.box_length)
@@ -194,9 +199,26 @@ def _mark_real(field: Field) -> Field:
     return field
 
 
-def _irfftn(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """ifftn of a Hermitian spectrum given on its half lattice [..., :m//2 + 1]."""
-    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.n)))
+def _rfftn(arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """rfftn of a real array over every axis: its half spectrum [..., :m//2 + 1].
+    Given out (complex, that shape), numpy runs rfft on the last axis into
+    out and then fft in place on each other axis, from the last to the
+    first, so no pass allocates; the bits are those of the fresh-array path."""
+    return np.fft.rfftn(arr, out=out)
+
+
+def _irfftn(grid: Grid, half: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """ifftn of a Hermitian spectrum given on its half lattice [..., :m//2 + 1],
+    into out (real, grid.shape) when given.  The passes and their order are
+    numpy's irfftn (ifft on axes 0 .. n-2, then irfft on the last axis), with
+    the same bits, but only the first pass allocates: it writes a work
+    array, the others run in place on it, and irfft writes into out.  half
+    is never written to."""
+    if grid.n > 1:
+        half = np.fft.ifft(half, axis=0)
+        for axis in range(1, grid.n - 1):
+            np.fft.ifft(half, axis=axis, out=half)
+    return np.fft.irfft(half, n=grid.points_per_dim, axis=-1, out=out)
 
 
 def _spectrum(hat: Field, real: bool):
@@ -208,13 +230,17 @@ def _spectrum(hat: Field, real: bool):
     return hat.data, np.fft.ifftn
 
 
-def _form(grid: Grid, raw: np.ndarray, w: np.ndarray) -> float:
+def _form(grid: Grid, raw: np.ndarray, w: np.ndarray, work=None) -> float:
     """(1/L^n) sum w |f^|^2 over the full lattice, from the half spectrum
     raw = rfftn(f).  The mirror of an interior plane of the last axis is
     absent from raw, so those planes count twice; the planes 0 and m/2 are
-    their own mirrors (m is even) and count once."""
-    hat = raw * grid.quadrature_weight
-    p = w * np.abs(hat) ** 2
+    their own mirrors (m is even) and count once.  work, a (complex, real)
+    pair of raw's shape, holds the pointwise terms instead of fresh arrays."""
+    hat, p = work if work is not None else (None, None)
+    hat = np.multiply(raw, grid.quadrature_weight, out=hat)
+    p = np.abs(hat, out=p)
+    p *= p
+    p *= w
     total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
     return float(total / grid.box_length ** grid.n)
 

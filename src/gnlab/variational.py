@@ -31,6 +31,7 @@ from .spectral import (
     RieszPotential,
     _form,
     _irfftn,
+    _rfftn,
     _mesh,
     _radial,
     riesz_constant,
@@ -82,24 +83,25 @@ def g_degree(G: NonlinearityG) -> float:
     return float(G.mu)
 
 
-def g_value(G: NonlinearityG, comps: Sequence[np.ndarray]) -> np.ndarray:
+def g_value(G: NonlinearityG, comps: Sequence[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
     """G at nonnegative components, with no clamp: MultiField enforces the
     sign, minimize clamps and projects, the C* ascent clamps each step and
-    the rearrangement takes abs.  G starts from its first term: adding into
-    a zero-filled array writes to fresh pages, an order of magnitude slower
-    (README, "Variational cost")."""
+    the rearrangement takes abs.  Written into out when given (a solve's
+    work array), else into a fresh array.  G starts from its first term:
+    adding into a zero-filled array writes to fresh pages, an order of
+    magnitude slower (README, "Variational cost")."""
     if isinstance(G, ProductPowers):
         if len(G.alphas) != len(comps):
             raise ValueError("component count does not match ProductPowers")
-        out = comps[0] ** G.alphas[0]
+        out = np.power(comps[0], G.alphas[0], out=out)
         for v, a in zip(comps[1:], G.alphas[1:]):
-            out = out * v ** a
+            out *= v ** a
         return out
     # v * v: the float power v ** 2.0 gives the same bits at twice the cost
-    terms = (v * v if G.mu == 2.0 else v ** G.mu for v in comps)
-    out = next(terms)
-    for term in terms:
-        out += term
+    first, *rest = comps
+    out = np.multiply(first, first, out=out) if G.mu == 2.0 else np.power(first, G.mu, out=out)
+    for v in rest:
+        out += v * v if G.mu == 2.0 else v ** G.mu
     return out
 
 
@@ -188,34 +190,85 @@ def _energy_symbols(grid: Grid, params: EnergyParams) -> Tuple[np.ndarray, np.nd
     )
 
 
-def _quad(grid: Grid, hats: Sequence[np.ndarray], w: np.ndarray) -> float:
+class _Workspace:
+    """The arrays one solve of L components writes into, allocated once per
+    minimize or estimate_cstar call instead of once per evaluation.
+
+    points and spectra hold two sets each: [0] the accepted point u_i with
+    its half spectra (rfftn(u_i), then rfftn(G(u))), [1] the trial point.
+    _evaluate writes a trial's spectra into set 1, and accept() swaps the
+    sets, so a rejected trial never overwrites the accepted state.  g holds
+    G(u), then V * G(u); half and half_real are the scratch of one product
+    or _form reduction; parts and dirs the gradient parts and directions."""
+
+    def __init__(self, grid: Grid, comps: int):
+        def real() -> np.ndarray:
+            return np.empty(grid.shape)
+
+        def spectrum() -> np.ndarray:
+            return np.empty(grid.half_shape, np.complex128)
+
+        self.points = [[real() for _ in range(comps)] for _ in range(2)]
+        self.spectra = [[spectrum() for _ in range(comps + 1)] for _ in range(2)]
+        self.g = real()
+        self.half = spectrum()
+        self.half_real = np.empty(grid.half_shape)
+        self.parts = [(real(), real()) for _ in range(comps)]
+        self.dirs = [real() for _ in range(comps)]
+
+    @property
+    def trial(self) -> List[np.ndarray]:
+        return self.points[1]
+
+    def accept(self) -> None:
+        self.points.reverse()
+        self.spectra.reverse()
+
+
+def _quad(grid: Grid, hats: Sequence[np.ndarray], w: np.ndarray, work=None) -> float:
     """sum_i (1/L^n) sum w |u_i^|^2 from the half spectra hats = rfftn(u_i)."""
-    return sum(_form(grid, hat, w) for hat in hats)
+    return sum(_form(grid, hat, w, work) for hat in hats)
 
 
-def _evaluate(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols):
+def _evaluate(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols,
+              ws: Optional[_Workspace] = None):
     """quad = sum_i <(m^2 - Lap)^s u_i, u_i> and inter = <G(u), V * G(u)> at
     arrs (the energy is 0.5 quad - inter), with the half spectra rfftn(u_i)
-    and rfftn(G(u)) they came from: L + 1 forward FFTs."""
+    and rfftn(G(u)) they came from: L + 1 forward FFTs.  With a workspace,
+    the spectra land in its trial set; without one, in fresh arrays."""
     w_quad, w_riesz = symbols
-    hats = [np.fft.rfftn(arr) for arr in arrs]
-    g_hat = np.fft.rfftn(g_value(params.G, arrs))
-    inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz)
-    return _quad(grid, hats, w_quad), inter, hats, g_hat
+    outs = ws.spectra[1] if ws else [None] * (len(arrs) + 1)
+    work = (ws.half, ws.half_real) if ws else None
+    hats = [_rfftn(arr, out) for arr, out in zip(arrs, outs)]
+    g_hat = _rfftn(g_value(params.G, arrs, ws and ws.g), outs[-1])
+    inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz, work)
+    return _quad(grid, hats, w_quad, work), inter, hats, g_hat
 
 
-def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat,
+              ws: Optional[_Workspace] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
     """(A_i, B_i) = ((m^2 - Lap)^s u_i, (V * G(u)) dG/dv_i), half the L^2
     gradients of quad and inter, from the spectra of _evaluate at the same
-    point: L + 1 inverse FFTs."""
+    point: L + 1 inverse FFTs.  With a workspace they land in its parts."""
     w_quad, w_riesz = symbols
-    conv = riesz_constant(grid.n, params.beta) * _irfftn(grid, g_hat * w_riesz)
-    return [(_irfftn(grid, w_quad * hat), conv * g_partial(params.G, arrs, i)) for i, hat in enumerate(hats)]
+    half = ws and ws.half
+    conv = _irfftn(grid, np.multiply(g_hat, w_riesz, out=half), ws and ws.g)
+    conv *= riesz_constant(grid.n, params.beta)
+    parts = ws.parts if ws else [(None, None)] * len(arrs)
+    return [
+        (_irfftn(grid, np.multiply(w_quad, hat, out=half), a),
+         np.multiply(conv, g_partial(params.G, arrs, i), out=b))
+        for i, (hat, (a, b)) in enumerate(zip(hats, parts))
+    ]
 
 
-def _energy_gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat) -> List[np.ndarray]:
-    """L^2 gradient of the energy, A_i - 2 B_i (see _gradient)."""
-    return [a - 2.0 * b for a, b in _gradient(grid, arrs, params, symbols, hats, g_hat)]
+def _energy_gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat,
+                     ws: Optional[_Workspace] = None) -> List[np.ndarray]:
+    """L^2 gradient of the energy, A_i - 2 B_i (see _gradient), in A_i's array."""
+    return [
+        np.subtract(a, np.multiply(b, 2.0, out=b), out=a)
+        for a, b in _gradient(grid, arrs, params, symbols, hats, g_hat, ws)
+    ]
 
 
 def _critical(n: int, beta: float) -> EnergyParams:
@@ -231,9 +284,10 @@ def upsilon_beta(u: MultiField, beta: float) -> float:
     return _evaluate(u.grid, u.arrays(), params, _energy_symbols(u.grid, params))[1]
 
 
-def _energy_eval(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols):
+def _energy_eval(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols,
+                 ws: Optional[_Workspace] = None):
     """(E, hats, g_hat): the energy 0.5 quad - inter, with the spectra of _evaluate."""
-    quad, inter, hats, g_hat = _evaluate(grid, arrs, params, symbols)
+    quad, inter, hats, g_hat = _evaluate(grid, arrs, params, symbols, ws)
     return 0.5 * quad - inter, hats, g_hat
 
 
@@ -249,14 +303,15 @@ def energy_gradient(u: MultiField, params: EnergyParams) -> List[Field]:
     return [Field(grid, Domain.PHYSICAL, g) for g in grads]
 
 
-def _project(grid: Grid, arrs: Sequence[np.ndarray], masses: Sequence[float]) -> List[np.ndarray]:
-    out = []
-    for arr, c in zip(arrs, masses):
+def _project(grid: Grid, arrs: Sequence[np.ndarray], masses: Sequence[float], outs=None) -> List[np.ndarray]:
+    """Each arr scaled onto its sphere, into outs (which may be arrs) when given."""
+    projected = []
+    for arr, c, out in zip(arrs, masses, outs or [None] * len(arrs)):
         norm2 = mass(grid, arr)
         if norm2 <= 0:
             raise ValueError("cannot project a zero component onto its sphere")
-        out.append(arr * math.sqrt(c / norm2))
-    return out
+        projected.append(np.multiply(arr, math.sqrt(c / norm2), out=out))
+    return projected
 
 
 def project_spheres(u: MultiField) -> MultiField:
@@ -276,12 +331,12 @@ def _radial_order(n: int, m: int, length: float) -> np.ndarray:
     return order
 
 
-def _rearrange(grid: Grid, arr: np.ndarray) -> np.ndarray:
+def _rearrange(grid: Grid, arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     vals = np.sort(np.abs(arr).ravel())[::-1]
     order = _radial_order(grid.n, grid.points_per_dim, grid.box_length)
-    out = np.empty(vals.size)
-    out[order] = vals
-    return out.reshape(grid.shape)
+    out = np.empty(grid.shape) if out is None else out
+    out.reshape(-1)[order] = vals
+    return out
 
 
 def schwarz_rearrange(field: Field) -> Field:
@@ -355,13 +410,16 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     every step the iterate is replaced by its componentwise Schwarz
     rearrangement (re-projected), kept only if the energy does not increase.
     Terminates once the relative energy decrease over the trailing WINDOW
-    iterations drops below tol.
+    iterations drops below tol.  Iterates, spectra and gradients live in one
+    _Workspace for the whole solve.
     """
     grid, masses = u0.grid, u0.masses
     symbols = _energy_symbols(grid, params)
     pre = symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0)), half=True)
-    arrs = _project(grid, u0.arrays(), masses)
-    e, hats, g_hat = _energy_eval(grid, arrs, params, symbols)
+    ws = _Workspace(grid, len(masses))
+    arrs = _project(grid, u0.arrays(), masses, ws.trial)
+    e, hats, g_hat = _energy_eval(grid, arrs, params, symbols, ws)
+    ws.accept()
     if math.isnan(e):
         raise DivergenceError("initial energy is NaN")
     trace = [e]
@@ -369,9 +427,15 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     message = ""
     it = 0
     for it in range(1, options.max_iters + 1):
-        grads = _energy_gradient(grid, arrs, params, symbols, hats, g_hat)
-        tangents = [g - (_inner(grid, g, a) / c) * a for g, a, c in zip(grads, arrs, masses)]
-        dirs = [_irfftn(grid, pre * np.fft.rfftn(t)) for t in tangents]
+        grads = _energy_gradient(grid, arrs, params, symbols, hats, g_hat, ws)
+        tangents = [
+            np.subtract(g, np.multiply(a, _inner(grid, g, a) / c, out=scratch), out=g)
+            for g, a, c, scratch in zip(grads, arrs, masses, ws.dirs)
+        ]
+        dirs = [
+            _irfftn(grid, np.multiply(_rfftn(t, ws.half), pre, out=ws.half), d)
+            for t, d in zip(tangents, ws.dirs)
+        ]
         slope = sum(_inner(grid, t, d) for t, d in zip(tangents, dirs))
         if slope <= 0:
             dirs = tangents
@@ -383,19 +447,21 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
 
         step = INITIAL_STEP
         accepted = False
+        cand = ws.trial
         for _ in range(40):
+            for c_i, a, d in zip(cand, arrs, dirs):
+                np.maximum(np.subtract(a, np.multiply(d, step, out=c_i), out=c_i), 0.0, out=c_i)
             try:
-                cand = _project(grid, [np.maximum(a - step * d, 0.0) for a, d in zip(arrs, dirs)], masses)
+                _project(grid, cand, masses, cand)
             except ValueError:
                 step *= 0.5
                 continue
-            cand_eval = _energy_eval(grid, cand, params, symbols)
+            cand_eval = _energy_eval(grid, cand, params, symbols, ws)
             if math.isnan(cand_eval[0]):
                 raise DivergenceError(f"energy NaN at iteration {it}")
             if cand_eval[0] <= e - ARMIJO * step * slope:
                 accepted = True
                 break
-            cand_eval = None  # free the rejected spectra before the next candidate
             step *= 0.5
         if not accepted:
             grad_scale = math.sqrt(sum(_inner(grid, t, t) for t in tangents))
@@ -406,14 +472,15 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
             raise DivergenceError(
                 f"line search failed at iteration {it} with energy {e:.6g}"
             )
+        ws.accept()
         arrs, (e, hats, g_hat) = cand, cand_eval
-        del cand, cand_eval  # a kept rearrangement must not leave these alive
 
-        rearranged = _project(grid, [_rearrange(grid, a) for a in arrs], masses)
-        r_eval = _energy_eval(grid, rearranged, params, symbols)
+        rearranged = [_rearrange(grid, a, out) for a, out in zip(arrs, ws.trial)]
+        _project(grid, rearranged, masses, rearranged)
+        r_eval = _energy_eval(grid, rearranged, params, symbols, ws)
         if r_eval[0] <= e:
+            ws.accept()
             arrs, (e, hats, g_hat) = rearranged, r_eval
-        del rearranged, r_eval  # nor a rejected one its spectra
         trace.append(e)
 
         if len(trace) > WINDOW:
@@ -424,7 +491,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
                 message = "energy plateau"
                 break
 
-    grads = _energy_gradient(grid, arrs, params, symbols, hats, g_hat)
+    grads = _energy_gradient(grid, arrs, params, symbols, hats, g_hat, ws)
     multipliers = []
     residual = 0.0
     for g, arr, c in zip(grads, arrs, masses):
@@ -448,11 +515,12 @@ class CStarEstimate:
     starts: int
 
 
-def _ascent_eval(grid: Grid, arr: np.ndarray, params: EnergyParams, symbols):
+def _ascent_eval(grid: Grid, arr: np.ndarray, params: EnergyParams, symbols,
+                 ws: Optional[_Workspace] = None):
     """Quotient inter / (mass quad) of _critical at arr, with the state an
     ascent step from arr needs: (mass, quad, inter, hats, g_hat)."""
     a = mass(grid, arr)
-    quad, ups, hats, g_hat = _evaluate(grid, [arr], params, symbols)
+    quad, ups, hats, g_hat = _evaluate(grid, [arr], params, symbols, ws)
     q = ups / (a * quad) if a > 0 and quad > 0 else 0.0
     return q, (a, quad, ups, hats, g_hat)
 
@@ -490,31 +558,38 @@ def estimate_cstar(
     for seed in seeds:
         starts.append(positive_random_field(grid, seed).data.real)
 
+    ws = _Workspace(grid, 1)
     best_val = -1.0
     best_arr = None
     for arr0 in starts:
-        arr = arr0 / math.sqrt(mass(grid, arr0))
-        q, state = _ascent_eval(grid, arr, params, symbols)
+        arr = np.divide(arr0, math.sqrt(mass(grid, arr0)), out=ws.trial[0])
+        q, state = _ascent_eval(grid, arr, params, symbols, ws)
+        ws.accept()
         first_step = 0.5
         for _ in range(max_iters):
             a, quad, ups, hats, g_hat = state
             if ups <= 0 or quad <= 0:
                 break
-            (A, B), = _gradient(grid, [arr], params, symbols, hats, g_hat)
-            d = 2.0 * B / ups - (2.0 / a) * arr - 2.0 * A / quad
+            (A, B), = _gradient(grid, [arr], params, symbols, hats, g_hat, ws)
+            # d = 2 B / ups - (2 / a) u - 2 A / quad, in the workspace
+            d = np.divide(np.multiply(B, 2.0, out=ws.dirs[0]), ups, out=ws.dirs[0])
+            d -= np.multiply(arr, 2.0 / a, out=B)
+            d -= np.divide(np.multiply(A, 2.0, out=A), quad, out=A)
             dn = math.sqrt(mass(grid, d))
             if dn < 1e-14:
                 break
             d /= dn
             step = first_step
             improved = False
+            cand = ws.trial[0]
             for _ in range(25):
-                cand = np.maximum(arr + step * d, 0.0)
+                np.maximum(np.add(arr, np.multiply(d, step, out=cand), out=cand), 0.0, out=cand)
                 mcand = mass(grid, cand)
                 if mcand > 0:
-                    cand = cand / math.sqrt(mcand)
-                    qc, cand_state = _ascent_eval(grid, cand, params, symbols)
+                    cand /= math.sqrt(mcand)
+                    qc, cand_state = _ascent_eval(grid, cand, params, symbols, ws)
                     if qc > q * (1.0 + 1e-12):
+                        ws.accept()
                         arr, q, state = cand, qc, cand_state
                         first_step = min(0.5, 2.0 * step)
                         improved = True
@@ -524,7 +599,7 @@ def estimate_cstar(
                 break
         if q > best_val:
             best_val = q
-            best_arr = arr
+            best_arr = arr.copy()  # the workspace is reused by the next start
     if best_arr is None or best_val <= 0:
         raise DivergenceError("all ascent starts degenerated")
     return CStarEstimate(best_val, Field(grid, Domain.PHYSICAL, best_arr), len(starts))

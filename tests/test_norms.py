@@ -394,7 +394,9 @@ class TestZeroPieces:
         from gnlab.spectral import lowpass_multiplier, shell_multiplier, symbol_values
 
         calls = []
-        for name in ("ifftn", "irfftn"):
+        # a complex inverse is one ifftn; a real one (spectral._irfftn) ends
+        # in exactly one irfft, after per-axis ifft passes that are not counted
+        for name in ("ifftn", "irfft"):
             orig = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name, lambda *a, _f=orig, **k: calls.append(1) or _f(*a, **k))
         for f in self._fields(n, m):

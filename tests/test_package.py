@@ -96,3 +96,26 @@ def test_version_matches_pyproject():
     release number in pyproject.toml."""
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == gnlab.__version__
+
+
+def test_transforms_only_in_spectral():
+    """Every FFT goes through spectral (transform, _rfftn, _irfftn), so no
+    other module of gnlab names numpy.fft, by attribute or by import."""
+    def names_fft(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "fft" and getattr(node.value, "id", None) in ("np", "numpy")
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.fft") or (
+                node.module == "numpy" and any(a.name == "fft" for a in node.names))
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith("numpy.fft") for a in node.names)
+        return False
+
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "spectral.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if names_fft(node)
+    ]
+    assert offenders == []

@@ -205,6 +205,34 @@ class TestHalfLattice:
             assert np.array_equal(symbol_values(g, sym), pointwise_symbol(r, sym)), sym
 
 
+class TestRealTransforms:
+    """_rfftn and _irfftn, the only real transforms of the variational layer,
+    return the bits of numpy's rfftn and irfftn, into a given out or a fresh
+    array, and _irfftn leaves its input as it found it."""
+
+    SHAPES = [(1, 4096), (1, 65536), (2, 256), (3, 16), (3, 32), (3, 64)]
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_equal_to_numpy(self, n, m):
+        from gnlab.spectral import _irfftn, _rfftn
+
+        g = make_grid(n, m, 10.0)
+        arr = np.random.default_rng(m + n).standard_normal(g.shape)
+        half = np.fft.rfftn(arr)
+        assert half.shape == g.half_shape
+        inverse = np.fft.irfftn(half, s=g.shape, axes=tuple(range(n)))
+        kept = half.copy()
+        for out in (None, np.empty(g.half_shape, np.complex128)):
+            got = _rfftn(arr, out)
+            assert out is None or got is out
+            assert np.array_equal(got, half)
+        for out in (None, np.empty(g.shape)):
+            got = _irfftn(g, half, out)
+            assert out is None or got is out
+            assert np.array_equal(got, inverse)
+            assert np.array_equal(half, kept)
+
+
 class TestRealness:
     """Field.is_real: exact, decided once, not settable."""
 
