@@ -64,4 +64,4 @@ from .variational import (
     upsilon_beta,
 )
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"

@@ -515,11 +515,11 @@ class CStarEstimate:
     starts: int
 
 
-def _ascent_eval(grid: Grid, arr: np.ndarray, params: EnergyParams, symbols,
+def _ascent_eval(grid: Grid, arr: np.ndarray, a: float, params: EnergyParams, symbols,
                  ws: Optional[_Workspace] = None):
-    """Quotient inter / (mass quad) of _critical at arr, with the state an
-    ascent step from arr needs: (mass, quad, inter, hats, g_hat)."""
-    a = mass(grid, arr)
+    """Quotient inter / (a quad) of _critical at arr, whose mass the caller
+    passes as a, with the state an ascent step from arr needs:
+    (a, quad, inter, hats, g_hat)."""
     quad, ups, hats, g_hat = _evaluate(grid, [arr], params, symbols, ws)
     q = ups / (a * quad) if a > 0 and quad > 0 else 0.0
     return q, (a, quad, ups, hats, g_hat)
@@ -537,9 +537,12 @@ def estimate_cstar(
 
     Each step's backtracking line search halves its step, up to 25 trials,
     until the quotient rises by more than a relative 1e-12.  A start's first
-    step tries 0.5; each later step starts at min(0.5, 2 x the last accepted
-    step), since accepted steps settle far below 0.5 and each failed trial
-    costs a quotient evaluation (two real FFTs).
+    step tries 0.5.  A later step tries min(0.5, 2 x the last accepted step)
+    when that step was accepted on its first trial, and the accepted step
+    itself otherwise, since accepted steps settle far below 0.5 and each
+    failed trial costs a quotient evaluation (two real FFTs).  Every point
+    the ascent evaluates is normalized to mass 1, so that mass is passed to
+    _ascent_eval rather than summed again.
 
     Returns the best on-grid quotient found: a lower bound for the grid
     problem only.  u^2 is formed pointwise on the grid, so its frequencies
@@ -563,7 +566,7 @@ def estimate_cstar(
     best_arr = None
     for arr0 in starts:
         arr = np.divide(arr0, math.sqrt(mass(grid, arr0)), out=ws.trial[0])
-        q, state = _ascent_eval(grid, arr, params, symbols, ws)
+        q, state = _ascent_eval(grid, arr, 1.0, params, symbols, ws)
         ws.accept()
         first_step = 0.5
         for _ in range(max_iters):
@@ -582,16 +585,16 @@ def estimate_cstar(
             step = first_step
             improved = False
             cand = ws.trial[0]
-            for _ in range(25):
+            for trial in range(25):
                 np.maximum(np.add(arr, np.multiply(d, step, out=cand), out=cand), 0.0, out=cand)
                 mcand = mass(grid, cand)
                 if mcand > 0:
                     cand /= math.sqrt(mcand)
-                    qc, cand_state = _ascent_eval(grid, cand, params, symbols, ws)
+                    qc, cand_state = _ascent_eval(grid, cand, 1.0, params, symbols, ws)
                     if qc > q * (1.0 + 1e-12):
                         ws.accept()
                         arr, q, state = cand, qc, cand_state
-                        first_step = min(0.5, 2.0 * step)
+                        first_step = min(0.5, 2.0 * step) if trial == 0 else step
                         improved = True
                         break
                 step *= 0.5

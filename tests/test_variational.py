@@ -55,7 +55,7 @@ def single(grid, w, c=1.0):
 def quotient(grid, arr, beta):
     """The C* ascent's quotient Upsilon / (mass ||u||^2 in H^s-dot), s = (n - beta)/2."""
     params = _critical(grid.n, beta)
-    return _ascent_eval(grid, arr, params, _energy_symbols(grid, params))[0]
+    return _ascent_eval(grid, arr, mass(grid, arr), params, _energy_symbols(grid, params))[0]
 
 
 class TestUpsilon:
@@ -486,8 +486,9 @@ class TestCStar:
             assert quotient(grid, probe, 2.0) <= est.value * 1.01
 
     def test_ascent_cost(self, monkeypatch):
-        """Each step's line search starts at twice the last accepted step,
-        not at 0.5: 674 quotient evaluations became 373, same value."""
+        """Each step's line search starts at twice the last accepted step
+        after a first-trial accept, else at that step, not at 0.5: 674
+        quotient evaluations became 373, then 300, same value."""
         import gnlab.variational as variational
 
         calls = []
