@@ -236,7 +236,7 @@ def _form(grid: Grid, raw: np.ndarray, w: np.ndarray, work=None) -> float:
     absent from raw, so those planes count twice; the planes 0 and m/2 are
     their own mirrors (m is even) and count once.  work, a (complex, real)
     pair of raw's shape, holds the pointwise terms instead of fresh arrays."""
-    hat, p = work if work is not None else (None, None)
+    hat, p = work or (None, None)
     hat = np.multiply(raw, grid.quadrature_weight, out=hat)
     p = np.abs(hat, out=p)
     p *= p

@@ -410,14 +410,23 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     every step the iterate is replaced by its componentwise Schwarz
     rearrangement (re-projected), kept only if the energy does not increase.
     Terminates once the relative energy decrease over the trailing WINDOW
-    iterations drops below tol.  Iterates, spectra and gradients live in one
-    _Workspace for the whole solve.
+    iterations drops below tol.
     """
-    grid, masses = u0.grid, u0.masses
+    arrs, stats = _descend(u0.grid, u0.arrays(), u0.masses, params, options)
+    # _descend has returned, so its workspace is freed before these copies
+    u = MultiField(tuple(Field(u0.grid, Domain.PHYSICAL, a) for a in arrs), u0.masses)
+    return MinimizeResult(u, *stats)
+
+
+def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], params: EnergyParams,
+             options: MinimizeOptions):
+    """The solve of minimize: the final iterate's arrays, and (trace,
+    multipliers, EL residual, converged, iterations, message).  Iterates,
+    spectra and gradients live in one _Workspace for the whole solve."""
     symbols = _energy_symbols(grid, params)
     pre = symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0)), half=True)
     ws = _Workspace(grid, len(masses))
-    arrs = _project(grid, u0.arrays(), masses, ws.trial)
+    arrs = _project(grid, arrs0, masses, ws.trial)
     e, hats, g_hat = _energy_eval(grid, arrs, params, symbols, ws)
     ws.accept()
     if math.isnan(e):
@@ -500,8 +509,7 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
         num = math.sqrt(mass(grid, g + r_i * arr))
         den = math.sqrt(mass(grid, arr))
         residual = max(residual, num / den)
-    u = MultiField(tuple(Field(grid, Domain.PHYSICAL, a) for a in arrs), masses)
-    return MinimizeResult(u, trace, multipliers, residual, converged, it, message)
+    return arrs, (trace, multipliers, residual, converged, it, message)
 
 
 # ---------------------------------------------------------------------------
