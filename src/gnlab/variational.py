@@ -31,9 +31,9 @@ from .spectral import (
     RieszPotential,
     _form,
     _irfftn,
-    _rfftn,
     _mesh,
     _radial,
+    _rfftn,
     riesz_constant,
     symbol_values,
     to_physical,
