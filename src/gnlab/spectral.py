@@ -230,13 +230,13 @@ def _spectrum(hat: Field, real: bool):
     return hat.data, np.fft.ifftn
 
 
-def _form(grid: Grid, raw: np.ndarray, w: np.ndarray, work=None) -> float:
+def _form(grid: Grid, raw: np.ndarray, w: np.ndarray, work) -> float:
     """(1/L^n) sum w |f^|^2 over the full lattice, from the half spectrum
     raw = rfftn(f).  The mirror of an interior plane of the last axis is
     absent from raw, so those planes count twice; the planes 0 and m/2 are
     their own mirrors (m is even) and count once.  work, a (complex, real)
-    pair of raw's shape, holds the pointwise terms instead of fresh arrays."""
-    hat, p = work or (None, None)
+    pair of raw's shape or (None, None), holds the pointwise terms."""
+    hat, p = work
     hat = np.multiply(raw, grid.quadrature_weight, out=hat)
     p = np.abs(hat, out=p)
     p *= p

@@ -199,20 +199,25 @@ class _Workspace:
     _evaluate writes a trial's spectra into set 1, and accept() swaps the
     sets, so a rejected trial never overwrites the accepted state.  g holds
     G(u), then V * G(u); half and half_real are the scratch of one product
-    or _form reduction; parts and dirs the gradient parts and directions."""
+    or _form reduction; parts and dirs the gradient parts and directions.
 
-    def __init__(self, grid: Grid, comps: int):
-        def real() -> np.ndarray:
-            return np.empty(grid.shape)
+    held=False puts None in every slot, so each numpy call handed one
+    allocates a fresh array: the one-shot functions (energy,
+    energy_gradient, upsilon_beta, scaling_profile) evaluate once, and
+    held buffers would only raise their peak memory."""
 
-        def spectrum() -> np.ndarray:
-            return np.empty(grid.half_shape, np.complex128)
+    def __init__(self, grid: Grid, comps: int, held: bool = True):
+        def real(shape=grid.shape) -> Optional[np.ndarray]:
+            return np.empty(shape) if held else None
+
+        def spectrum() -> Optional[np.ndarray]:
+            return np.empty(grid.half_shape, np.complex128) if held else None
 
         self.points = [[real() for _ in range(comps)] for _ in range(2)]
         self.spectra = [[spectrum() for _ in range(comps + 1)] for _ in range(2)]
         self.g = real()
         self.half = spectrum()
-        self.half_real = np.empty(grid.half_shape)
+        self.half_real = real(grid.half_shape)
         self.parts = [(real(), real()) for _ in range(comps)]
         self.dirs = [real() for _ in range(comps)]
 
@@ -225,45 +230,42 @@ class _Workspace:
         self.spectra.reverse()
 
 
-def _quad(grid: Grid, hats: Sequence[np.ndarray], w: np.ndarray, work=None) -> float:
+def _quad(grid: Grid, hats: Sequence[np.ndarray], w: np.ndarray, work) -> float:
     """sum_i (1/L^n) sum w |u_i^|^2 from the half spectra hats = rfftn(u_i)."""
     return sum(_form(grid, hat, w, work) for hat in hats)
 
 
-def _evaluate(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols,
-              ws: Optional[_Workspace] = None):
+def _evaluate(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols, ws: _Workspace):
     """quad = sum_i <(m^2 - Lap)^s u_i, u_i> and inter = <G(u), V * G(u)> at
     arrs (the energy is 0.5 quad - inter), with the half spectra rfftn(u_i)
-    and rfftn(G(u)) they came from: L + 1 forward FFTs.  With a workspace,
-    the spectra land in its trial set; without one, in fresh arrays."""
+    and rfftn(G(u)) they came from: L + 1 forward FFTs into the trial set
+    of ws."""
     w_quad, w_riesz = symbols
-    outs = ws.spectra[1] if ws else [None] * (len(arrs) + 1)
-    work = (ws.half, ws.half_real) if ws else None
+    outs = ws.spectra[1]
+    work = (ws.half, ws.half_real)
     hats = [_rfftn(arr, out) for arr, out in zip(arrs, outs)]
-    g_hat = _rfftn(g_value(params.G, arrs, ws and ws.g), outs[-1])
+    g_hat = _rfftn(g_value(params.G, arrs, ws.g), outs[-1])
     inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz, work)
     return _quad(grid, hats, w_quad, work), inter, hats, g_hat
 
 
 def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat,
-              ws: Optional[_Workspace] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
+              ws: _Workspace) -> List[Tuple[np.ndarray, np.ndarray]]:
     """(A_i, B_i) = ((m^2 - Lap)^s u_i, (V * G(u)) dG/dv_i), half the L^2
     gradients of quad and inter, from the spectra of _evaluate at the same
-    point: L + 1 inverse FFTs.  With a workspace they land in its parts."""
+    point: L + 1 inverse FFTs, into the parts of ws."""
     w_quad, w_riesz = symbols
-    half = ws and ws.half
-    conv = _irfftn(grid, np.multiply(g_hat, w_riesz, out=half), ws and ws.g)
+    conv = _irfftn(grid, np.multiply(g_hat, w_riesz, out=ws.half), ws.g)
     conv *= riesz_constant(grid.n, params.beta)
-    parts = ws.parts if ws else [(None, None)] * len(arrs)
     return [
-        (_irfftn(grid, np.multiply(w_quad, hat, out=half), a),
+        (_irfftn(grid, np.multiply(w_quad, hat, out=ws.half), a),
          np.multiply(conv, g_partial(params.G, arrs, i), out=b))
-        for i, (hat, (a, b)) in enumerate(zip(hats, parts))
+        for i, (hat, (a, b)) in enumerate(zip(hats, ws.parts))
     ]
 
 
 def _energy_gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat,
-                     ws: Optional[_Workspace] = None) -> List[np.ndarray]:
+                     ws: _Workspace) -> List[np.ndarray]:
     """L^2 gradient of the energy, A_i - 2 B_i (see _gradient), in A_i's array."""
     return [
         np.subtract(a, np.multiply(b, 2.0, out=b), out=a)
@@ -281,42 +283,43 @@ def _critical(n: int, beta: float) -> EnergyParams:
 def upsilon_beta(u: MultiField, beta: float) -> float:
     """Interaction functional of the total density |u|^2 = sum u_i^2."""
     params = _critical(u.grid.n, beta)
-    return _evaluate(u.grid, u.arrays(), params, _energy_symbols(u.grid, params))[1]
+    ws = _Workspace(u.grid, len(u.masses), held=False)
+    return _evaluate(u.grid, u.arrays(), params, _energy_symbols(u.grid, params), ws)[1]
 
 
-def _energy_eval(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols,
-                 ws: Optional[_Workspace] = None):
+def _energy_eval(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols, ws: _Workspace):
     """(E, hats, g_hat): the energy 0.5 quad - inter, with the spectra of _evaluate."""
     quad, inter, hats, g_hat = _evaluate(grid, arrs, params, symbols, ws)
     return 0.5 * quad - inter, hats, g_hat
 
 
 def energy(u: MultiField, params: EnergyParams) -> float:
-    return _energy_eval(u.grid, u.arrays(), params, _energy_symbols(u.grid, params))[0]
+    ws = _Workspace(u.grid, len(u.masses), held=False)
+    return _energy_eval(u.grid, u.arrays(), params, _energy_symbols(u.grid, params), ws)[0]
 
 
 def energy_gradient(u: MultiField, params: EnergyParams) -> List[Field]:
     """L^2 gradient: (m^2 - Lap)^s u_i - 2 (V * G(u)) dG/dv_i."""
     grid, arrs = u.grid, u.arrays()
     symbols = _energy_symbols(grid, params)
-    grads = _energy_gradient(grid, arrs, params, symbols, *_evaluate(grid, arrs, params, symbols)[2:])
+    ws = _Workspace(grid, len(arrs), held=False)
+    grads = _energy_gradient(grid, arrs, params, symbols, *_evaluate(grid, arrs, params, symbols, ws)[2:], ws)
     return [Field(grid, Domain.PHYSICAL, g) for g in grads]
 
 
-def _project(grid: Grid, arrs: Sequence[np.ndarray], masses: Sequence[float], outs=None) -> List[np.ndarray]:
-    """Each arr scaled onto its sphere, into outs (which may be arrs) when given."""
-    projected = []
-    for arr, c, out in zip(arrs, masses, outs or [None] * len(arrs)):
+def _project(grid: Grid, arrs: Sequence[np.ndarray], masses: Sequence[float]) -> None:
+    """Scale each arr onto its sphere, in place."""
+    for arr, c in zip(arrs, masses):
         norm2 = mass(grid, arr)
         if norm2 <= 0:
             raise ValueError("cannot project a zero component onto its sphere")
-        projected.append(np.multiply(arr, math.sqrt(c / norm2), out=out))
-    return projected
+        arr *= math.sqrt(c / norm2)
 
 
 def project_spheres(u: MultiField) -> MultiField:
     """Rescale each component onto its mass sphere ||u_i||_2^2 = c_i."""
-    comps = _project(u.grid, u.arrays(), u.masses)
+    comps = [a.copy() for a in u.arrays()]
+    _project(u.grid, comps, u.masses)
     return MultiField(tuple(Field(u.grid, Domain.PHYSICAL, a) for a in comps), u.masses)
 
 
@@ -331,10 +334,9 @@ def _radial_order(n: int, m: int, length: float) -> np.ndarray:
     return order
 
 
-def _rearrange(grid: Grid, arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _rearrange(grid: Grid, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
     vals = np.sort(np.abs(arr).ravel())[::-1]
     order = _radial_order(grid.n, grid.points_per_dim, grid.box_length)
-    out = np.empty(grid.shape) if out is None else out
     out.reshape(-1)[order] = vals
     return out
 
@@ -342,7 +344,8 @@ def _rearrange(grid: Grid, arr: np.ndarray, out: Optional[np.ndarray] = None) ->
 def schwarz_rearrange(field: Field) -> Field:
     """Grid Schwarz symmetrization: |values| sorted decreasingly along the
     distance-from-origin order (lexicographic tie-break)."""
-    return Field(field.grid, Domain.PHYSICAL, _rearrange(field.grid, to_physical(field).data.real))
+    grid = field.grid
+    return Field(grid, Domain.PHYSICAL, _rearrange(grid, to_physical(field).data.real, np.empty(grid.shape)))
 
 
 def monotone_along_rays(field: Field, tol: float = 1e-8) -> bool:
@@ -426,7 +429,10 @@ def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], p
     symbols = _energy_symbols(grid, params)
     pre = symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0)), half=True)
     ws = _Workspace(grid, len(masses))
-    arrs = _project(grid, arrs0, masses, ws.trial)
+    arrs = ws.trial
+    for a, a0 in zip(arrs, arrs0):
+        a[...] = a0
+    _project(grid, arrs, masses)
     e, hats, g_hat = _energy_eval(grid, arrs, params, symbols, ws)
     ws.accept()
     if math.isnan(e):
@@ -461,7 +467,7 @@ def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], p
             for c_i, a, d in zip(cand, arrs, dirs):
                 np.maximum(np.subtract(a, np.multiply(d, step, out=c_i), out=c_i), 0.0, out=c_i)
             try:
-                _project(grid, cand, masses, cand)
+                _project(grid, cand, masses)
             except ValueError:
                 step *= 0.5
                 continue
@@ -485,7 +491,7 @@ def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], p
         arrs, (e, hats, g_hat) = cand, cand_eval
 
         rearranged = [_rearrange(grid, a, out) for a, out in zip(arrs, ws.trial)]
-        _project(grid, rearranged, masses, rearranged)
+        _project(grid, rearranged, masses)
         r_eval = _energy_eval(grid, rearranged, params, symbols, ws)
         if r_eval[0] <= e:
             ws.accept()
@@ -523,8 +529,7 @@ class CStarEstimate:
     starts: int
 
 
-def _ascent_eval(grid: Grid, arr: np.ndarray, a: float, params: EnergyParams, symbols,
-                 ws: Optional[_Workspace] = None):
+def _ascent_eval(grid: Grid, arr: np.ndarray, a: float, params: EnergyParams, symbols, ws: _Workspace):
     """Quotient inter / (a quad) of _critical at arr, whose mass the caller
     passes as a, with the state an ascent step from arr needs:
     (a, quad, inter, hats, g_hat)."""
@@ -637,13 +642,15 @@ def scaling_profile(u: MultiField, params: EnergyParams, lambdas: Sequence[float
     """
     grid = u.grid
     d = g_degree(params.G)
-    _, inter, hats, _ = _evaluate(grid, u.arrays(), params, _energy_symbols(grid, params))
+    ws = _Workspace(grid, len(u.masses), held=False)
+    _, inter, hats, _ = _evaluate(grid, u.arrays(), params, _energy_symbols(grid, params), ws)
+    work = (ws.half, ws.half_real)
     energies = []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("lambda must be positive")
         w = _radial(grid, lambda r: (params.m2 + (lam * r) ** 2) ** params.s, half=True)
-        energies.append(0.5 * _quad(grid, hats, w) - lam ** (d * grid.n - grid.n - params.beta) * inter)
+        energies.append(0.5 * _quad(grid, hats, w, work) - lam ** (d * grid.n - grid.n - params.beta) * inter)
     exponent = _tail_exponent(list(lambdas), energies)
     return ScalingProfile(list(lambdas), energies, exponent)
 

@@ -37,7 +37,7 @@ from gnlab.variational import (
     sum_squares,
     upsilon_beta,
 )
-from gnlab.variational import _ascent_eval, _critical, _energy_symbols
+from gnlab.variational import _Workspace, _ascent_eval, _critical, _energy_symbols
 
 
 def bump_field(grid, w, jitter=None, floor=0.0):
@@ -55,7 +55,8 @@ def single(grid, w, c=1.0):
 def quotient(grid, arr, beta):
     """The C* ascent's quotient Upsilon / (mass ||u||^2 in H^s-dot), s = (n - beta)/2."""
     params = _critical(grid.n, beta)
-    return _ascent_eval(grid, arr, mass(grid, arr), params, _energy_symbols(grid, params))[0]
+    symbols = _energy_symbols(grid, params)
+    return _ascent_eval(grid, arr, mass(grid, arr), params, symbols, _Workspace(grid, 1))[0]
 
 
 class TestUpsilon:
@@ -254,7 +255,7 @@ class TestHalfSpectrum:
         for symbol in (Bessel(1.5, 0.5), RieszPotential(beta)):
             w = symbol_values(grid, symbol)
             expected = float(np.sum(w * np.abs(full) ** 2)) / box ** n
-            got = _form(grid, np.fft.rfftn(f), symbol_values(grid, symbol, half=True))
+            got = _form(grid, np.fft.rfftn(f), symbol_values(grid, symbol, half=True), (None, None))
             assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n,m,box,beta", CASES)
