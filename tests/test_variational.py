@@ -358,6 +358,21 @@ class TestPinnedOutputs:
         grads = [g.data.real.ravel() for p in (product, squares) for g in energy_gradient(u, p)]
         assert (self.digest(values), self.digest(np.concatenate(grads))) == self.KERNEL[(n, m, box)]
 
+    # the value as float.hex and a sha256 of the argmax: the ascent of
+    # test_ascent_cost and c10's bench run
+    CSTAR = {
+        "16^3 beta 2": ((3, 2.0, make_grid(3, 16, 12.0)), {"max_iters": 60}, "0x1.a32fc4902fd7fp-1",
+                        "6cc292aa9cf3ad36b45296aa07988fbad248b27cf03b50406bf07b07d02b7584"),
+        "32^3 beta 1": ((3, 1.0, make_grid(3, 32, 16.0)), {"seeds": (1001, 1002)}, "0x1.e15682151feadp-1",
+                        "a42e76794622a727f69b8d15ca92b169343261a2e53c00f98813209c1e8fb66a"),
+    }
+
+    @pytest.mark.parametrize("case", list(CSTAR))
+    def test_cstar_ascent(self, case):
+        args, kwargs, value, argmax = self.CSTAR[case]
+        est = estimate_cstar(*args, **kwargs)
+        assert (est.value.hex(), self.digest(est.argmax.data.real)) == (value, argmax)
+
 
 class TestProjectionAndRearrangement:
     def test_project_idempotent_and_exact(self):
