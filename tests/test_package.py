@@ -30,6 +30,45 @@ def test_every_private_function_has_a_caller():
     assert uncalled == []
 
 
+def _literal(node):
+    """A hashable key for a literal argument, or None for any other expression."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value), repr(value)
+
+
+def test_no_private_parameter_is_one_literal():
+    """No parameter of a private top-level function of gnlab is passed the
+    same literal by every call in gnlab, by position, keyword or default:
+    such a parameter is a constant, and its argument is dead.  A call that
+    unpacks *args or **kwargs counts as passing a non-literal."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    functions = {
+        fn.name: fn for tree in trees for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.startswith("__")
+    }
+    passed = {}  # (function, parameter) -> the literal keys its calls pass
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    for node in calls:
+        fn = functions.get(getattr(node.func, "id", getattr(node.func, "attr", None)))
+        if fn is None:
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        defaults = dict(zip(reversed([a.arg for a in args.posonlyargs + args.args]), reversed(args.defaults)))
+        defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+        given = dict(zip(params, node.args))
+        given.update((k.arg, k.value) for k in node.keywords)
+        opaque = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+        for p in params:
+            arg = given.get(p, defaults.get(p))
+            passed.setdefault((fn.name, p), []).append(None if opaque or arg is None else _literal(arg))
+    constant = [key for key, values in passed.items() if None not in values and len(set(values)) == 1]
+    assert constant == []
+
+
 def _readme_spans():
     return re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
 
