@@ -144,7 +144,7 @@ class MultiField:
             vals = phys.data.real
             if vals.min() < NEGATIVE_TOLERANCE:
                 raise ValueError("components must be nonnegative up to round-off")
-            comps.append(Field(grid, Domain.PHYSICAL, np.maximum(vals, 0.0).astype(np.complex128)))
+            comps.append(Field(grid, Domain.PHYSICAL, np.maximum(vals, 0.0)))
         if len(self.masses) != len(comps):
             raise ValueError("one target mass per component")
         if not all(0 < c < math.inf for c in self.masses):
@@ -182,44 +182,49 @@ def mass(grid: Grid, f: np.ndarray) -> float:
     return _inner(grid, f, f)
 
 
-def _energy_symbols(grid: Grid, params: EnergyParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Symbols of the quadratic form and of V (which checks beta), built once per solve."""
-    return (
-        symbol_values(grid, Bessel(2.0 * params.s, params.m2), half=True),
-        symbol_values(grid, RieszPotential(params.beta), half=True),
-    )
-
-
 class _Workspace:
-    """The arrays one solve of L components writes into, allocated once per
-    minimize or estimate_cstar call instead of once per evaluation.
+    """One solve of L components on grid for params: the symbols of the
+    quadratic form and of V (which checks beta), and the arrays the solve
+    writes into, allocated once per minimize or estimate_cstar call instead
+    of once per evaluation.
 
     points and spectra hold two sets each: [0] the accepted point u_i with
     its half spectra (rfftn(u_i), then rfftn(G(u))), [1] the trial point.
     _evaluate writes a trial's spectra into set 1, and accept() swaps the
     sets, so a rejected trial never overwrites the accepted state.  g holds
-    G(u), then V * G(u); half and half_real are the scratch of one product
-    or _form reduction; parts and dirs the gradient parts and directions.
+    G(u), then V * G(u); half, a complex half-lattice array, is the scratch
+    of one product, and work pairs it with a real one for a _form
+    reduction; parts and dirs hold the gradient parts and directions.
 
     held=False puts None in every slot, so each numpy call handed one
     allocates a fresh array: the one-shot functions (energy,
     energy_gradient, upsilon_beta, scaling_profile) evaluate once, and
     held buffers would only raise their peak memory."""
 
-    def __init__(self, grid: Grid, comps: int, held: bool = True):
+    def __init__(self, grid: Grid, params: EnergyParams, comps: int, held: bool = True):
         def real(shape=grid.shape) -> Optional[np.ndarray]:
             return np.empty(shape) if held else None
 
         def spectrum() -> Optional[np.ndarray]:
             return np.empty(grid.half_shape, np.complex128) if held else None
 
+        self.grid, self.params = grid, params
+        self.w_quad = symbol_values(grid, Bessel(2.0 * params.s, params.m2), half=True)
+        self.w_riesz = symbol_values(grid, RieszPotential(params.beta), half=True)
         self.points = [[real() for _ in range(comps)] for _ in range(2)]
         self.spectra = [[spectrum() for _ in range(comps + 1)] for _ in range(2)]
         self.g = real()
         self.half = spectrum()
-        self.half_real = real(grid.half_shape)
+        self.work = (self.half, real(grid.half_shape))
         self.parts = [(real(), real()) for _ in range(comps)]
         self.dirs = [real() for _ in range(comps)]
+
+    @classmethod
+    def at(cls, u: MultiField, params: EnergyParams) -> "_Workspace":
+        """The held=False workspace of a one-shot evaluation, with u as its trial."""
+        ws = cls(u.grid, params, len(u.masses), held=False)
+        ws.points[1] = u.arrays()
+        return ws
 
     @property
     def trial(self) -> List[np.ndarray]:
@@ -230,47 +235,40 @@ class _Workspace:
         self.spectra.reverse()
 
 
-def _quad(grid: Grid, hats: Sequence[np.ndarray], w: np.ndarray, work) -> float:
-    """sum_i (1/L^n) sum w |u_i^|^2 from the half spectra hats = rfftn(u_i)."""
-    return sum(_form(grid, hat, w, work) for hat in hats)
+def _quad(ws: _Workspace, w: np.ndarray) -> float:
+    """sum_i (1/L^n) sum w |u_i^|^2 from the trial spectra rfftn(u_i)."""
+    return sum(_form(ws.grid, hat, w, ws.work) for hat in ws.spectra[1][:-1])
 
 
-def _evaluate(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols, ws: _Workspace):
+def _evaluate(ws: _Workspace) -> Tuple[float, float]:
     """quad = sum_i <(m^2 - Lap)^s u_i, u_i> and inter = <G(u), V * G(u)> at
-    arrs (the energy is 0.5 quad - inter), with the half spectra rfftn(u_i)
-    and rfftn(G(u)) they came from: L + 1 forward FFTs into the trial set
-    of ws."""
-    w_quad, w_riesz = symbols
-    outs = ws.spectra[1]
-    work = (ws.half, ws.half_real)
-    hats = [_rfftn(arr, out) for arr, out in zip(arrs, outs)]
-    g_hat = _rfftn(g_value(params.G, arrs, ws.g), outs[-1])
-    inter = riesz_constant(grid.n, params.beta) * _form(grid, g_hat, w_riesz, work)
-    return _quad(grid, hats, w_quad, work), inter, hats, g_hat
+    the trial point (the energy is 0.5 quad - inter): L + 1 forward FFTs
+    into the trial spectra, rfftn(u_i) and rfftn(G(u))."""
+    grid, params, arrs, spectra = ws.grid, ws.params, ws.trial, ws.spectra[1]
+    spectra[:-1] = [_rfftn(arr, out) for arr, out in zip(arrs, spectra)]
+    spectra[-1] = _rfftn(g_value(params.G, arrs, ws.g), spectra[-1])
+    inter = riesz_constant(grid.n, params.beta) * _form(grid, spectra[-1], ws.w_riesz, ws.work)
+    return _quad(ws, ws.w_quad), inter
 
 
-def _gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat,
-              ws: _Workspace) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _gradient(ws: _Workspace) -> List[Tuple[np.ndarray, np.ndarray]]:
     """(A_i, B_i) = ((m^2 - Lap)^s u_i, (V * G(u)) dG/dv_i), half the L^2
-    gradients of quad and inter, from the spectra of _evaluate at the same
-    point: L + 1 inverse FFTs, into the parts of ws."""
-    w_quad, w_riesz = symbols
-    conv = _irfftn(grid, np.multiply(g_hat, w_riesz, out=ws.half), ws.g)
+    gradients of quad and inter, at the accepted point from its spectra:
+    L + 1 inverse FFTs, into the parts of ws."""
+    grid, params, arrs, (*hats, g_hat) = ws.grid, ws.params, ws.points[0], ws.spectra[0]
+    conv = _irfftn(grid, np.multiply(g_hat, ws.w_riesz, out=ws.half), ws.g)
     conv *= riesz_constant(grid.n, params.beta)
     return [
-        (_irfftn(grid, np.multiply(w_quad, hat, out=ws.half), a),
+        (_irfftn(grid, np.multiply(ws.w_quad, hat, out=ws.half), a),
          np.multiply(conv, g_partial(params.G, arrs, i), out=b))
         for i, (hat, (a, b)) in enumerate(zip(hats, ws.parts))
     ]
 
 
-def _energy_gradient(grid: Grid, arrs, params: EnergyParams, symbols, hats, g_hat,
-                     ws: _Workspace) -> List[np.ndarray]:
-    """L^2 gradient of the energy, A_i - 2 B_i (see _gradient), in A_i's array."""
-    return [
-        np.subtract(a, np.multiply(b, 2.0, out=b), out=a)
-        for a, b in _gradient(grid, arrs, params, symbols, hats, g_hat, ws)
-    ]
+def _energy_gradient(ws: _Workspace) -> List[np.ndarray]:
+    """L^2 gradient of the energy at the accepted point, A_i - 2 B_i (see
+    _gradient), in A_i's array."""
+    return [np.subtract(a, np.multiply(b, 2.0, out=b), out=a) for a, b in _gradient(ws)]
 
 
 def _critical(n: int, beta: float) -> EnergyParams:
@@ -282,29 +280,20 @@ def _critical(n: int, beta: float) -> EnergyParams:
 
 def upsilon_beta(u: MultiField, beta: float) -> float:
     """Interaction functional of the total density |u|^2 = sum u_i^2."""
-    params = _critical(u.grid.n, beta)
-    ws = _Workspace(u.grid, len(u.masses), held=False)
-    return _evaluate(u.grid, u.arrays(), params, _energy_symbols(u.grid, params), ws)[1]
-
-
-def _energy_eval(grid: Grid, arrs: Sequence[np.ndarray], params: EnergyParams, symbols, ws: _Workspace):
-    """(E, hats, g_hat): the energy 0.5 quad - inter, with the spectra of _evaluate."""
-    quad, inter, hats, g_hat = _evaluate(grid, arrs, params, symbols, ws)
-    return 0.5 * quad - inter, hats, g_hat
+    return _evaluate(_Workspace.at(u, _critical(u.grid.n, beta)))[1]
 
 
 def energy(u: MultiField, params: EnergyParams) -> float:
-    ws = _Workspace(u.grid, len(u.masses), held=False)
-    return _energy_eval(u.grid, u.arrays(), params, _energy_symbols(u.grid, params), ws)[0]
+    quad, inter = _evaluate(_Workspace.at(u, params))
+    return 0.5 * quad - inter
 
 
 def energy_gradient(u: MultiField, params: EnergyParams) -> List[Field]:
     """L^2 gradient: (m^2 - Lap)^s u_i - 2 (V * G(u)) dG/dv_i."""
-    grid, arrs = u.grid, u.arrays()
-    symbols = _energy_symbols(grid, params)
-    ws = _Workspace(grid, len(arrs), held=False)
-    grads = _energy_gradient(grid, arrs, params, symbols, *_evaluate(grid, arrs, params, symbols, ws)[2:], ws)
-    return [Field(grid, Domain.PHYSICAL, g) for g in grads]
+    ws = _Workspace.at(u, params)
+    _evaluate(ws)
+    ws.accept()
+    return [Field(u.grid, Domain.PHYSICAL, g) for g in _energy_gradient(ws)]
 
 
 def _project(grid: Grid, arrs: Sequence[np.ndarray], masses: Sequence[float]) -> None:
@@ -426,15 +415,14 @@ def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], p
     """The solve of minimize: the final iterate's arrays, and (trace,
     multipliers, EL residual, converged, iterations, message).  Iterates,
     spectra and gradients live in one _Workspace for the whole solve."""
-    symbols = _energy_symbols(grid, params)
     pre = symbol_values(grid, Bessel(-2.0 * params.s, max(params.m2, 1.0)), half=True)
-    ws = _Workspace(grid, len(masses))
-    arrs = ws.trial
-    for a, a0 in zip(arrs, arrs0):
+    ws = _Workspace(grid, params, len(masses))
+    for a, a0 in zip(ws.trial, arrs0):
         a[...] = a0
-    _project(grid, arrs, masses)
-    e, hats, g_hat = _energy_eval(grid, arrs, params, symbols, ws)
+    _project(grid, ws.trial, masses)
+    quad, inter = _evaluate(ws)
     ws.accept()
+    e = 0.5 * quad - inter
     if math.isnan(e):
         raise DivergenceError("initial energy is NaN")
     trace = [e]
@@ -442,10 +430,10 @@ def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], p
     message = ""
     it = 0
     for it in range(1, options.max_iters + 1):
-        grads = _energy_gradient(grid, arrs, params, symbols, hats, g_hat, ws)
+        arrs = ws.points[0]
         tangents = [
             np.subtract(g, np.multiply(a, _inner(grid, g, a) / c, out=scratch), out=g)
-            for g, a, c, scratch in zip(grads, arrs, masses, ws.dirs)
+            for g, a, c, scratch in zip(_energy_gradient(ws), arrs, masses, ws.dirs)
         ]
         dirs = [
             _irfftn(grid, np.multiply(_rfftn(t, ws.half), pre, out=ws.half), d)
@@ -471,10 +459,11 @@ def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], p
             except ValueError:
                 step *= 0.5
                 continue
-            cand_eval = _energy_eval(grid, cand, params, symbols, ws)
-            if math.isnan(cand_eval[0]):
+            quad, inter = _evaluate(ws)
+            e_cand = 0.5 * quad - inter
+            if math.isnan(e_cand):
                 raise DivergenceError(f"energy NaN at iteration {it}")
-            if cand_eval[0] <= e - ARMIJO * step * slope:
+            if e_cand <= e - ARMIJO * step * slope:
                 accepted = True
                 break
             step *= 0.5
@@ -488,14 +477,15 @@ def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], p
                 f"line search failed at iteration {it} with energy {e:.6g}"
             )
         ws.accept()
-        arrs, (e, hats, g_hat) = cand, cand_eval
+        e = e_cand
 
-        rearranged = [_rearrange(grid, a, out) for a, out in zip(arrs, ws.trial)]
+        rearranged = [_rearrange(grid, a, out) for a, out in zip(ws.points[0], ws.trial)]
         _project(grid, rearranged, masses)
-        r_eval = _energy_eval(grid, rearranged, params, symbols, ws)
-        if r_eval[0] <= e:
+        quad, inter = _evaluate(ws)
+        e_cand = 0.5 * quad - inter
+        if e_cand <= e:
             ws.accept()
-            arrs, (e, hats, g_hat) = rearranged, r_eval
+            e = e_cand
         trace.append(e)
 
         if len(trace) > WINDOW:
@@ -506,10 +496,10 @@ def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], p
                 message = "energy plateau"
                 break
 
-    grads = _energy_gradient(grid, arrs, params, symbols, hats, g_hat, ws)
+    arrs = ws.points[0]
     multipliers = []
     residual = 0.0
-    for g, arr, c in zip(grads, arrs, masses):
+    for g, arr, c in zip(_energy_gradient(ws), arrs, masses):
         r_i = -_inner(grid, g, arr) / c
         multipliers.append(r_i)
         num = math.sqrt(mass(grid, g + r_i * arr))
@@ -529,13 +519,12 @@ class CStarEstimate:
     starts: int
 
 
-def _ascent_eval(grid: Grid, arr: np.ndarray, a: float, params: EnergyParams, symbols, ws: _Workspace):
-    """Quotient inter / (a quad) of _critical at arr, whose mass the caller
-    passes as a, with the state an ascent step from arr needs:
-    (a, quad, inter, hats, g_hat)."""
-    quad, ups, hats, g_hat = _evaluate(grid, [arr], params, symbols, ws)
-    q = ups / (a * quad) if a > 0 and quad > 0 else 0.0
-    return q, (a, quad, ups, hats, g_hat)
+def _ascent_eval(ws: _Workspace) -> Tuple[float, float, float]:
+    """(q, quad, inter) of _critical at the trial point, whose mass is 1:
+    the quotient q = inter / quad, with the two forms an ascent step from
+    that point needs."""
+    quad, inter = _evaluate(ws)
+    return (inter / quad if quad > 0 else 0.0), quad, inter
 
 
 def estimate_cstar(
@@ -554,8 +543,8 @@ def estimate_cstar(
     when that step was accepted on its first trial, and the accepted step
     itself otherwise, since accepted steps settle far below 0.5 and each
     failed trial costs a quotient evaluation (two real FFTs).  Every point
-    the ascent evaluates is normalized to mass 1, so that mass is passed to
-    _ascent_eval rather than summed again.
+    the ascent evaluates is normalized to mass 1, so the quotient is
+    inter / quad.
 
     Returns the best on-grid quotient found: a lower bound for the grid
     problem only.  u^2 is formed pointwise on the grid, so its frequencies
@@ -565,7 +554,6 @@ def estimate_cstar(
     if grid.n != n:
         raise ValueError("grid dimension mismatch")
     params = _critical(n, beta)
-    symbols = _energy_symbols(grid, params)
     starts: List[np.ndarray] = []
     r2 = grid.coord_radius2()
     for frac in (8.0, 12.0, 20.0):
@@ -574,22 +562,22 @@ def estimate_cstar(
     for seed in seeds:
         starts.append(positive_random_field(grid, seed).data.real)
 
-    ws = _Workspace(grid, 1)
+    ws = _Workspace(grid, params, 1)
     best_val = -1.0
     best_arr = None
     for arr0 in starts:
-        arr = np.divide(arr0, math.sqrt(mass(grid, arr0)), out=ws.trial[0])
-        q, state = _ascent_eval(grid, arr, 1.0, params, symbols, ws)
+        np.divide(arr0, math.sqrt(mass(grid, arr0)), out=ws.trial[0])
+        q, quad, ups = _ascent_eval(ws)
         ws.accept()
         first_step = 0.5
         for _ in range(max_iters):
-            a, quad, ups, hats, g_hat = state
             if ups <= 0 or quad <= 0:
                 break
-            (A, B), = _gradient(grid, [arr], params, symbols, hats, g_hat, ws)
-            # d = 2 B / ups - (2 / a) u - 2 A / quad, in the workspace
+            arr = ws.points[0][0]
+            (A, B), = _gradient(ws)
+            # d = 2 B / ups - 2 u - 2 A / quad, in the workspace
             d = np.divide(np.multiply(B, 2.0, out=ws.dirs[0]), ups, out=ws.dirs[0])
-            d -= np.multiply(arr, 2.0 / a, out=B)
+            d -= np.multiply(arr, 2.0, out=B)
             d -= np.divide(np.multiply(A, 2.0, out=A), quad, out=A)
             dn = math.sqrt(mass(grid, d))
             if dn < 1e-14:
@@ -603,10 +591,10 @@ def estimate_cstar(
                 mcand = mass(grid, cand)
                 if mcand > 0:
                     cand /= math.sqrt(mcand)
-                    qc, cand_state = _ascent_eval(grid, cand, 1.0, params, symbols, ws)
+                    qc, quad_c, ups_c = _ascent_eval(ws)
                     if qc > q * (1.0 + 1e-12):
                         ws.accept()
-                        arr, q, state = cand, qc, cand_state
+                        q, quad, ups = qc, quad_c, ups_c
                         first_step = min(0.5, 2.0 * step) if trial == 0 else step
                         improved = True
                         break
@@ -615,7 +603,7 @@ def estimate_cstar(
                 break
         if q > best_val:
             best_val = q
-            best_arr = arr.copy()  # the workspace is reused by the next start
+            best_arr = ws.points[0][0].copy()  # the workspace is reused by the next start
     if best_arr is None or best_val <= 0:
         raise DivergenceError("all ascent starts degenerated")
     return CStarEstimate(best_val, Field(grid, Domain.PHYSICAL, best_arr), len(starts))
@@ -642,15 +630,14 @@ def scaling_profile(u: MultiField, params: EnergyParams, lambdas: Sequence[float
     """
     grid = u.grid
     d = g_degree(params.G)
-    ws = _Workspace(grid, len(u.masses), held=False)
-    _, inter, hats, _ = _evaluate(grid, u.arrays(), params, _energy_symbols(grid, params), ws)
-    work = (ws.half, ws.half_real)
+    ws = _Workspace.at(u, params)
+    inter = _evaluate(ws)[1]
     energies = []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("lambda must be positive")
         w = _radial(grid, lambda r: (params.m2 + (lam * r) ** 2) ** params.s, half=True)
-        energies.append(0.5 * _quad(grid, hats, w, work) - lam ** (d * grid.n - grid.n - params.beta) * inter)
+        energies.append(0.5 * _quad(ws, w) - lam ** (d * grid.n - grid.n - params.beta) * inter)
     exponent = _tail_exponent(list(lambdas), energies)
     return ScalingProfile(list(lambdas), energies, exponent)
 

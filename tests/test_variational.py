@@ -37,7 +37,7 @@ from gnlab.variational import (
     sum_squares,
     upsilon_beta,
 )
-from gnlab.variational import _Workspace, _ascent_eval, _critical, _energy_symbols
+from gnlab.variational import _Workspace, _ascent_eval, _critical, _evaluate
 
 
 def bump_field(grid, w, jitter=None, floor=0.0):
@@ -54,9 +54,10 @@ def single(grid, w, c=1.0):
 
 def quotient(grid, arr, beta):
     """The C* ascent's quotient Upsilon / (mass ||u||^2 in H^s-dot), s = (n - beta)/2."""
-    params = _critical(grid.n, beta)
-    symbols = _energy_symbols(grid, params)
-    return _ascent_eval(grid, arr, mass(grid, arr), params, symbols, _Workspace(grid, 1))[0]
+    ws = _Workspace(grid, _critical(grid.n, beta), 1)
+    ws.trial[0][...] = arr
+    quad, inter = _evaluate(ws)
+    return inter / (mass(grid, arr) * quad)
 
 
 class TestUpsilon:
