@@ -168,7 +168,8 @@ class Field:
         if arr.shape != self.grid.shape:
             raise ValueError(f"data shape {arr.shape} != grid shape {self.grid.shape}")
         if arr.flags.writeable:
-            arr = arr.copy()
+            if np.may_share_memory(arr, self.data):  # still the caller's array
+                arr = arr.copy()
             arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 

@@ -264,6 +264,34 @@ class TestRealness:
         assert f.is_real
 
 
+class TestFieldData:
+    """Field holds a read-only complex array that no caller can write."""
+
+    def test_float_input_allocates_one_complex_array(self):
+        import tracemalloc
+
+        g = make_grid(3, 32, 8.0)
+        arr = np.random.default_rng(0).random(g.shape)
+        tracemalloc.start()
+        try:
+            f = Field(g, Domain.PHYSICAL, arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.data.nbytes <= peak < 1.5 * f.data.nbytes
+        assert not f.data.flags.writeable
+        assert arr.flags.writeable
+
+    def test_writeable_complex_input_is_copied(self):
+        g = make_grid(1, 16, 8.0)
+        arr = np.ones(16, dtype=complex)
+        f = Field(g, Domain.PHYSICAL, arr)
+        arr[0] = 5.0
+        assert f.data[0] == 1.0
+        assert not f.data.flags.writeable
+        assert not np.may_share_memory(f.data, arr)
+
+
 class TestDyadicProject:
     def test_plane_wave_in_flat_band_unchanged(self):
         g = make_grid(1, 2048, 4 * math.pi)
