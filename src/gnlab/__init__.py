@@ -2,7 +2,7 @@
 interpolation inequalities.
 
 Submodules: checker (exact rational decision procedures), spectral
-(periodic-grid transforms, dyadic projectors, Fourier multipliers), norms
+(periodic-grid transforms, dyadic cutoffs, Fourier multipliers), norms
 (Lebesgue / Besov / Triebel-Lizorkin / Sobolev), testfuncs (lacunary
 counterexample families and generic fields), harness (ratio experiments and
 slope fits), regression (built-in instance table), variational (constrained
@@ -32,11 +32,7 @@ from .spectral import (
     FracLaplacian,
     Grid,
     RieszPotential,
-    apply_symbol,
-    dilate,
-    dyadic_project,
     make_grid,
-    partition_check,
     riesz_constant,
     to_fourier,
     to_physical,
@@ -54,7 +50,6 @@ from .variational import (
     energy,
     energy_gradient,
     estimate_cstar,
-    g_conditions_check,
     minimize,
     project_spheres,
     regime_classify,

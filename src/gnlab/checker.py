@@ -15,7 +15,7 @@ of checkable conditions; see README for the code -> meaning table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -335,17 +335,11 @@ def check_inhomogeneous(problem: GNProblem) -> Verdict:
     failed sufficient condition is not a disproof.
     """
     if problem.scale is Scale.INHOMOG_BESOV:
-        proxy = GNProblem(
-            problem.n, problem.theta, problem.target, problem.source0,
-            problem.source1, Scale.HOMOG_BESOV,
-        )
+        proxy = replace(problem, scale=Scale.HOMOG_BESOV)
         inner = check_besov_sup(proxy)
         codes = {"1.14": "4.6", "1.15": "4.7", "1.16": "4.8", "1.17": "4.9"}
     elif problem.scale is Scale.INHOMOG_RIESZ:
-        proxy = GNProblem(
-            problem.n, problem.theta, problem.target, problem.source0,
-            problem.source1, Scale.RIESZ_POTENTIAL,
-        )
+        proxy = replace(problem, scale=Scale.RIESZ_POTENTIAL)
         inner = check_riesz(proxy)
         codes = {"1.23": "4.11"}
     else:

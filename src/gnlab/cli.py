@@ -25,7 +25,7 @@ import numpy as np
 
 import gnlab
 
-from . import fieldio
+from . import checker, fieldio
 from .checker import GNProblem, check_by_rule, auto_check
 from .harness import growth_experiment
 from .norms import NormFamily, NormSpec, compute_norm
@@ -417,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="run a parameter checker on a problem JSON")
-    c.add_argument("--rule", default="auto",
-                   choices=["auto", "besov", "besov-sup", "triebel", "riesz", "inhomog"])
+    c.add_argument("--rule", default="auto", choices=["auto", *checker._RULES])
     c.add_argument("--problem", required=True)
     c.add_argument("--output")
     c.set_defaults(fn=cmd_check)

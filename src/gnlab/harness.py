@@ -18,9 +18,8 @@ import numpy as np
 
 from .checker import GNProblem, Scale, SpaceTriple, Verdict, auto_check
 from .norms import NormFamily, NormSpec, norm_values
-from .rational import as_fraction
 from .spectral import Field, Grid
-from .testfuncs import FamilyKind, LacunaryFamily, build_family, random_band_limited
+from .testfuncs import FamilyKind, LacunaryFamily, build_family
 
 
 def _exp(inv: Fraction) -> float:
@@ -195,61 +194,3 @@ def growth_experiment(
     return RatioExperiment(
         problem, family, indices, norms, ratios, slope, axis, auto_check(problem)
     )
-
-
-def random_ratio_sweep(
-    problem: GNProblem,
-    grid: Grid,
-    bands: Sequence[int],
-    seeds_per_band: int = 5,
-) -> Tuple[List[float], List[float]]:
-    """Ratios of random band-limited fields on the bands [k, k + 1].
-
-    Under an exact scaling balance the band index does not tilt the ratio,
-    so a Holds verdict predicts a flat (slope <= 0.05) cloud.
-    """
-    xs, ys = [], []
-    for k in bands:
-        for seed in range(seeds_per_band):
-            f = random_band_limited(grid, k, k + 1, seed=1000 * k + seed)
-            xs.append(float(k))
-            ys.append(gn_ratio(f, problem))
-    return xs, ys
-
-
-@dataclass
-class ConvexityReport:
-    lhs: float
-    rhs: float
-    target: SpaceTriple
-    passed: bool
-
-
-def convexity_check(
-    field: Field,
-    components: Sequence[Tuple[SpaceTriple, Fraction]],
-) -> ConvexityReport:
-    """Multiplicative convexity bound across Besov spaces.
-
-    The target indices are the exact convex combinations sigma = sum theta_i
-    sigma_i, 1/p = sum theta_i/p_i, 1/q = sum theta_i/q_i; the check is
-    LHS <= RHS (1 + 1e-9) with RHS the weighted product of component norms.
-    """
-    if not components:
-        raise ValueError("need at least one component")
-    thetas = [as_fraction(th) for _, th in components]
-    if any(th < 0 or th > 1 for th in thetas):
-        raise ValueError("weights must lie in [0, 1]")
-    if sum(thetas) != 1:
-        raise ValueError("weights must sum to 1 exactly")
-    sigma = sum((th * tr.s for tr, th in components), Fraction(0))
-    inv_p = sum((th * tr.inv_p for tr, th in components), Fraction(0))
-    inv_q = sum((th * tr.inv_q for tr, th in components), Fraction(0))
-    target = SpaceTriple(sigma, inv_p, inv_q)
-    triples = [target] + [tr for tr, _ in components]
-    specs = [space_norm_spec(Scale.HOMOG_BESOV, tr) for tr in triples]
-    lhs, *parts = norm_values(field, specs)
-    rhs = 1.0
-    for part, (_, th) in zip(parts, components):
-        rhs *= part ** float(th)
-    return ConvexityReport(lhs, rhs, target, lhs <= rhs * (1.0 + 1e-9))

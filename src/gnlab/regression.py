@@ -231,7 +231,7 @@ def eps_blowup_case(points: int = 2 ** 14) -> BlowupCase:
     )
 
 
-def scaled_blowup_case(q: int, points: int = 2 ** 16) -> BlowupCase:
+def scaled_blowup_case(q: int) -> BlowupCase:
     """Equality case with p0 != p1: cardinality train, slope 1/q.
 
     Exponents are kept at 1 or above so the physical-side tails of the
@@ -243,11 +243,11 @@ def scaled_blowup_case(q: int, points: int = 2 ** 16) -> BlowupCase:
     fam = scaled_family_for(problem)
     return BlowupCase(
         f"equality-case-blowup-q{q}", problem, fam, (4, 5, 6, 7, 8),
-        (1, points, 32.0 * math.pi), 1.0 / q, ("1.17",), "besov-sup",
+        (1, 2 ** 16, 32.0 * math.pi), 1.0 / q, ("1.17",), "besov-sup",
     )
 
 
-def triebel_blowup_case(q, points: int = 2 ** 12) -> BlowupCase:
+def triebel_blowup_case(q) -> BlowupCase:
     """Equal source smoothness on the Triebel scale: slope 1/q (0 at q=inf)."""
     problem = GNProblem(
         1, F(1, 2), SpaceTriple.from_exponents(0, 2, q), _t(0, 2), _t(0, 2),
@@ -259,5 +259,5 @@ def triebel_blowup_case(q, points: int = 2 ** 12) -> BlowupCase:
     predicted = 0.0 if q == "inf" else 1.0 / float(q)
     return BlowupCase(
         f"triebel-blowup-q{q}", problem, fam, (4, 5, 6, 7, 8),
-        (1, points, 4.0 * math.pi), predicted, ("1.21",), "triebel",
+        (1, 2 ** 12, 4.0 * math.pi), predicted, ("1.21",), "triebel",
     )

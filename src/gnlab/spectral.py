@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -343,66 +343,6 @@ def shell_multiplier(grid: Grid, k: int) -> np.ndarray:
     return _cutoff(grid, k)
 
 
-def lowpass_multiplier(grid: Grid) -> np.ndarray:
-    """psi(|xi|) on the lattice (the inhomogeneous low block)."""
-    return _cutoff(grid, None)
-
-
-def _check_shell(grid: Grid, k: int) -> None:
-    lo, hi = grid.shell_bounds
-    if not (lo <= k <= hi):
-        raise ValueError(
-            f"shell k={k} outside resolved range [{grid.k_min}, {grid.k_max}] "
-            f"(guard shells allow [{lo}, {hi}])"
-        )
-
-
-def dyadic_project(field: Field, k: int) -> Field:
-    """Frequency-shell projection; output in the same domain as the input."""
-    _check_shell(field.grid, k)
-    return _multiply(field, shell_multiplier(field.grid, k))
-
-
-def _multiply(field: Field, mult: np.ndarray) -> Field:
-    """Multiply the Fourier data by `mult`; output in the input's domain."""
-    hat = to_fourier(field)
-    out = hat.with_data(hat.data * mult)
-    return out if field.domain is Domain.FOURIER else to_physical(out)
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    max_deviation: float
-    origin_value: float
-    max_deviation_inhomog: float
-
-
-def partition_check(grid: Grid) -> PartitionReport:
-    """Deviation of the shell sums from 1.
-
-    Homogeneous: sum of phi_k over the resolved range, maximized over the
-    lattice annulus 2^k_min <= |xi| <= 2^k_max (xi = 0 is excluded by the
-    homogeneous calculus and reported separately).  Inhomogeneous: psi plus
-    the shells k >= 1, over the whole lattice including 0.
-    """
-    r = grid.freq_radius()
-    total = np.zeros_like(r)
-    for k in range(grid.k_min, grid.k_max + 1):
-        total += shell_multiplier(grid, k)
-    annulus = (r >= 2.0 ** grid.k_min) & (r <= 2.0 ** grid.k_max)
-    if not annulus.any():
-        raise ValueError("grid resolves no complete annulus")
-    dev = float(np.max(np.abs(total[annulus] - 1.0)))
-    origin = float(total.flat[0])
-
-    inhom = lowpass_multiplier(grid)
-    for k in range(1, grid.k_max + 1):
-        inhom += shell_multiplier(grid, k)
-    inside = r <= 2.0 ** grid.k_max
-    dev_inhom = float(np.max(np.abs(inhom[inside] - 1.0)))
-    return PartitionReport(dev, origin, dev_inhom)
-
-
 # ---------------------------------------------------------------------------
 # Fourier multipliers
 
@@ -475,11 +415,6 @@ def symbol_values(grid: Grid, symbol: Symbol, half: bool = False) -> np.ndarray:
     return _radial(grid, fn, half)
 
 
-def apply_symbol(field: Field, symbol: Symbol) -> Field:
-    """Apply a Fourier multiplier; output in the same domain as the input."""
-    return _multiply(field, symbol_values(field.grid, symbol))
-
-
 def riesz_constant(n: int, beta: float) -> float:
     """c(n, beta) with  F[|x|^-(n-beta)] = c(n, beta) |xi|^-beta.
 
@@ -493,42 +428,3 @@ def riesz_constant(n: int, beta: float) -> float:
         * math.gamma(beta / 2.0)
         / math.gamma((n - beta) / 2.0)
     )
-
-
-# ---------------------------------------------------------------------------
-# dyadic dilation
-
-
-def dilate(field: Field, log2_lambda: int, l2_normalized: bool = False) -> Field:
-    """Dyadic dilation u(x) -> lambda^a u(lambda x), lambda = 2^log2_lambda.
-
-    a = n/2 when l2_normalized (mass-preserving), else a = 0.  Implemented by
-    strided resampling with the off-box region masked to zero, so the result
-    is the dilation of the field read as a function on R^n concentrated in
-    the box, not the torus rewrap (which would create periodic images).
-    Enlarging dilations (log2_lambda > 0) resample in physical space and
-    require the field to be smooth at stride 2^m; shrinking dilations
-    resample in Fourier space under the mirrored condition.
-    """
-    m = int(log2_lambda)
-    if m == 0:
-        return field
-    grid = field.grid
-    n, M = grid.n, grid.points_per_dim
-    stride = 2 ** abs(m)
-    if stride >= M:
-        raise ValueError("dilation stride exceeds grid size")
-    # The off-box test |x| < L/(2 stride) on coordinates k L/M is the index
-    # test |k| < M/(2 stride): every scale is a power of two, so the float
-    # comparisons agree exactly and one index mask serves both domains.
-    domain = Domain.PHYSICAL if m > 0 else Domain.FOURIER
-    src = field if field.domain is domain else transform(field, domain)
-    idx = (np.arange(M) * stride) % M
-    out = src.data[tuple(_mesh([idx] * n))]
-    keep = np.abs(np.fft.fftfreq(M, d=1.0 / M)) < (M / (2.0 * stride))
-    mask = reduce(np.logical_and, _mesh([keep] * n))
-    lam = 2.0 ** m
-    a = (n / 2.0) if l2_normalized else 0.0
-    out = np.where(mask, out, 0.0) * (lam ** (a if m > 0 else a - n))
-    res = Field(grid, domain, out)
-    return res if field.domain is domain else transform(res, field.domain)

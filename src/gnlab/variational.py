@@ -786,91 +786,3 @@ def regime_classify(
     if c > crit:
         return RegimeReport(Regime.MINUS_INFINITY, "critical-massive-low-dim", crit)
     return RegimeReport(Regime.MINIMIZER_EXISTS, "critical-massive-low-dim", crit)
-
-
-# ---------------------------------------------------------------------------
-# structural checks on G
-
-
-@dataclass
-class GConditionsReport:
-    growth_constant: float
-    zero_component_ok: bool
-    scaling_mode: str
-    scaling_failures: int
-    supermodular_failures: int
-    samples: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.zero_component_ok
-            and self.scaling_failures == 0
-            and self.supermodular_failures == 0
-        )
-
-
-def g_conditions_check(
-    G: NonlinearityG,
-    sample_count: int = 1000,
-    seed: int = 0,
-) -> GConditionsReport:
-    """Numerically spot-check the structural conditions on G.
-
-    Product kinds are sampled on one component per exponent, sum kinds on
-    two.  Growth: reports the largest observed G(v) / (|v|^2 + |v|^mu).  Zero
-    components: G must vanish when any component does (product kinds).
-    Scaling: G(t v) >= t_max G(v) for t_i >= 1, sampled componentwise for
-    product kinds and with a common t for sum kinds (sum kinds live under a
-    single joint mass constraint).  Supermodularity is sampled on the pair
-    function G(u) G(v) via mixed second differences.
-    """
-    L = len(G.alphas) if isinstance(G, ProductPowers) else 2
-    mu = g_degree(G)
-    rng = np.random.default_rng(seed)
-
-    vs = rng.uniform(0.0, 0.1, size=(sample_count, L))
-    gv = g_value(G, [vs[:, i] for i in range(L)])
-    norm = np.sqrt(np.sum(vs ** 2, axis=1))
-    growth = float(np.max(gv / (norm ** 2 + norm ** mu + 1e-300)))
-
-    zero_ok = True
-    probe = rng.uniform(0.5, 1.5, size=L)
-    for i in range(L):
-        v = probe.copy()
-        v[i] = 0.0
-        if float(g_value(G, [np.array([x]) for x in v])[0]) != 0.0:
-            zero_ok = False
-    if isinstance(G, SumPowers):
-        zero_ok = False  # sums do not vanish on a single zero component
-
-    mode = "componentwise" if isinstance(G, ProductPowers) else "common"
-    base = rng.uniform(0.0, 2.0, size=(sample_count, L))
-    if mode == "componentwise":
-        ts = rng.uniform(1.0, 5.0, size=(sample_count, L))
-    else:
-        ts = np.repeat(rng.uniform(1.0, 5.0, size=(sample_count, 1)), L, axis=1)
-    g0 = g_value(G, [base[:, i] for i in range(L)])
-    g1 = g_value(G, [(ts * base)[:, i] for i in range(L)])
-    tmax = np.max(ts, axis=1)
-    scaling_failures = int(np.sum(g1 < tmax * g0 * (1.0 - 1e-12)))
-
-    super_failures = 0
-    y = rng.uniform(0.0, 2.0, size=(sample_count, 2 * L))
-    hs = rng.uniform(0.01, 1.0, size=sample_count)
-    ks = rng.uniform(0.01, 1.0, size=sample_count)
-    pair = lambda z: g_value(G, [z[:, i] for i in range(L)]) * g_value(
-        G, [z[:, L + i] for i in range(L)]
-    )
-    for trial in range(sample_count):
-        i, j = rng.choice(2 * L, size=2, replace=False)
-        zi = y[trial : trial + 1].copy()
-        z_h = zi.copy(); z_h[0, i] += hs[trial]
-        z_k = zi.copy(); z_k[0, j] += ks[trial]
-        z_hk = z_h.copy(); z_hk[0, j] += ks[trial]
-        lhs = pair(z_hk)[0] + pair(zi)[0]
-        rhs = pair(z_h)[0] + pair(z_k)[0]
-        if lhs < rhs - 1e-10 * max(1.0, abs(rhs)):
-            super_failures += 1
-
-    return GConditionsReport(growth, zero_ok, mode, scaling_failures, super_failures, sample_count)

@@ -13,15 +13,11 @@ import numpy as np
 from scipy.integrate import quad
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+from instruments import convexity_check, dilate, partition_check, random_ratio_sweep
 from oracles import lattice_riesz_kernel, pair_interaction_product_density
 
 from gnlab.checker import Status
-from gnlab.harness import (
-    convexity_check,
-    fit_slope,
-    growth_experiment,
-    random_ratio_sweep,
-)
+from gnlab.harness import fit_slope, growth_experiment
 from gnlab.norms import NormFamily, NormSpec, besov_norm, lp_norm, sobolev_norm
 from gnlab.regression import (
     eps_blowup_case,
@@ -34,9 +30,7 @@ from gnlab.regression import (
 from gnlab.spectral import (
     Domain,
     Field,
-    dilate,
     make_grid,
-    partition_check,
     riesz_constant,
     to_physical,
 )

@@ -8,12 +8,10 @@ import pytest
 
 from gnlab.checker import GNProblem, Scale, SpaceTriple, Status
 from gnlab.harness import (
-    convexity_check,
     eps_bump_family_for,
     gn_norms,
     gn_ratio,
     growth_experiment,
-    random_ratio_sweep,
     fit_slope,
     transpose_to_1d,
 )
@@ -25,6 +23,7 @@ from gnlab.regression import (
 )
 from gnlab.spectral import make_grid
 from gnlab.testfuncs import build_family, random_band_limited
+from instruments import convexity_check, dilate, random_ratio_sweep
 
 
 def t(s, p, q="inf"):
@@ -58,8 +57,6 @@ class TestGnRatio:
     def test_residual_drift_under_dilation(self):
         """With a nonzero balance defect the ratio of dyadic dilates drifts
         by lambda^residual."""
-        from gnlab.spectral import dilate
-
         p = GNProblem(1, F(1, 2), t(0, 2, 2), t(0, 2, 2), t(1, 2, 2), Scale.HOMOG_BESOV)
         from gnlab.checker import scaling_balance
 

@@ -20,7 +20,6 @@ from gnlab.spectral import (
     Domain,
     Field,
     FracLaplacian,
-    dilate,
     make_grid,
     phi,
     psi,
@@ -28,6 +27,7 @@ from gnlab.spectral import (
     to_physical,
 )
 from gnlab.testfuncs import gaussian, random_band_limited
+from instruments import dilate
 from oracles import sobolev_l2_parseval
 
 
@@ -391,7 +391,8 @@ class TestZeroPieces:
     @pytest.mark.parametrize("n,m", [(1, 1024), (3, 32)])
     def test_one_inverse_per_nonzero_piece(self, n, m, monkeypatch):
         from gnlab.norms import _IDENTITY, _pieces
-        from gnlab.spectral import lowpass_multiplier, shell_multiplier, symbol_values
+        from gnlab.spectral import shell_multiplier, symbol_values
+        from instruments import lowpass_multiplier
 
         calls = []
         # a complex inverse is one ifftn; a real one (spectral._irfftn) ends
@@ -518,7 +519,8 @@ class TestSobolevRealPath:
 
     @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64), (3, 32)])
     def test_against_complex_path(self, n, m):
-        from gnlab.spectral import Bessel, FracLaplacian, apply_symbol
+        from gnlab.spectral import Bessel, FracLaplacian
+        from instruments import apply_symbol
 
         hat = _hermitian_field(n, m, seed=13)
         g = hat.grid

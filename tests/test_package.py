@@ -11,23 +11,43 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gnlab"
 
 
+def _referenced(fn, trees) -> bool:
+    """Whether the top-level function fn is referenced, by name or as a module
+    attribute, somewhere in trees outside its own body.  An import is not a
+    reference, so __init__'s re-exports do not count."""
+    own = {id(node) for node in ast.walk(fn)}
+    return any(
+        id(node) not in own and getattr(node, "id", getattr(node, "attr", None)) == fn.name
+        for tree in trees for node in ast.walk(tree)
+    )
+
+
 def test_every_private_function_has_a_caller():
-    """Each private top-level function of gnlab is referenced, by name or as
-    a module attribute, somewhere in gnlab outside its own body."""
+    """Each private top-level function of gnlab is referenced somewhere in
+    gnlab outside its own body."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    uncalled = []
-    for tree in trees:
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") or fn.name.startswith("__"):
-                continue
-            own = {id(node) for node in ast.walk(fn)}
-            refs = [
-                node for t in trees for node in ast.walk(t)
-                if id(node) not in own and getattr(node, "id", getattr(node, "attr", None)) == fn.name
-            ]
-            if not refs:
-                uncalled.append(fn.name)
+    uncalled = [
+        fn.name for tree in trees for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.startswith("__")
+        and not _referenced(fn, trees)
+    ]
     assert uncalled == []
+
+
+def test_every_public_function_has_a_user():
+    """Each public top-level function of gnlab is referenced in gnlab outside
+    its own body, or is named in bench/*.py (the tracer wraps functions by
+    name) or in README.  A function that only the tests call belongs in the
+    tests (tests/instruments.py)."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    texts = [ROOT / "README.md", *sorted((ROOT / "bench").glob("*.py"))]
+    named = "\n".join(path.read_text() for path in texts)
+    unused = [
+        fn.name for tree in trees for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and not _referenced(fn, trees) and not re.search(rf"\b{fn.name}\b", named)
+    ]
+    assert unused == []
 
 
 def _literal(node):

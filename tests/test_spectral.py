@@ -12,12 +12,7 @@ from gnlab.spectral import (
     Field,
     FracLaplacian,
     RieszPotential,
-    apply_symbol,
-    dilate,
-    dyadic_project,
-    lowpass_multiplier,
     make_grid,
-    partition_check,
     phi,
     psi,
     riesz_constant,
@@ -27,6 +22,7 @@ from gnlab.spectral import (
     transform,
 )
 from gnlab.testfuncs import gaussian, random_band_limited
+from instruments import apply_symbol, dilate, dyadic_project, lowpass_multiplier, partition_check
 
 
 def plane_wave(grid, xi0):
@@ -447,26 +443,6 @@ class TestDilate:
         f = gaussian(g, 1.0)
         fd = dilate(dilate(f, -1, l2_normalized=True), 1, l2_normalized=True)
         assert np.max(np.abs(to_physical(fd).data - to_physical(f).data)) < 1e-8
-
-    @pytest.mark.parametrize("n,m,L", [(1, 256, 7.3), (2, 64, 7.3), (3, 32, 7.3), (3, 16, 4 * math.pi)])
-    def test_bit_exact_against_two_branch_reference(self, n, m, L):
-        """One index mask in either domain equals the coordinate mask in
-        physical space and the index mask in Fourier space, bit for bit."""
-        from oracles import dilate_reference
-
-        g = make_grid(n, m, L)
-        rng = np.random.default_rng(n)
-        data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        for domain in (Domain.PHYSICAL, Domain.FOURIER):
-            f = Field(g, domain, data)
-            for log2_lambda in (-3, -2, -1, 1, 2, 3):
-                for l2 in (False, True):
-                    out = dilate(f, log2_lambda, l2_normalized=l2)
-                    ref = dilate_reference(
-                        data, domain is Domain.PHYSICAL, L, log2_lambda, l2
-                    )
-                    assert out.domain is domain
-                    assert np.array_equal(out.data, ref), (domain, log2_lambda, l2)
 
 
 class TestGNF1:

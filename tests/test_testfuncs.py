@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gnlab.norms import lp_norm
-from gnlab.spectral import Domain, dyadic_project, make_grid, to_fourier, to_physical
+from gnlab.spectral import Domain, make_grid, to_fourier, to_physical
 from gnlab.testfuncs import (
     FamilyKind,
     LacunaryFamily,
@@ -15,6 +15,7 @@ from gnlab.testfuncs import (
     gaussian,
     random_band_limited,
 )
+from instruments import dyadic_project
 
 GRID = make_grid(1, 2 ** 13, 4 * math.pi)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+from instruments import dilate, g_conditions_check
 from oracles import lattice_riesz_kernel, pair_interaction_general, pair_interaction_product_density
 
 from gnlab.norms import NormFamily, NormSpec, lp_norm, sobolev_norm
@@ -25,7 +26,6 @@ from gnlab.variational import (
     energy,
     energy_gradient,
     estimate_cstar,
-    g_conditions_check,
     g_value,
     mass,
     minimize,
@@ -96,8 +96,6 @@ class TestUpsilon:
         """Mass-preserving dyadic dilation scales the free part by
         lambda^(n-beta); the mean-field offset is dilation-invariant, so the
         law is read off from first differences."""
-        from gnlab.spectral import dilate
-
         grid = make_grid(3, 64, 24.0)
         f = gaussian(grid, 1.5)
         beta = 2.0
@@ -542,8 +540,6 @@ class TestCStar:
         dropped zero mode adds a mean-field term scaling like 1/lambda, so
         invariance is read from the extrapolation 2 q(2 lambda) - q(lambda),
         which must be lambda-independent."""
-        from gnlab.spectral import dilate
-
         grid = make_grid(3, 64, 24.0)
         g = gaussian(grid, 2.4)
         qs = []
