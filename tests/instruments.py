@@ -72,6 +72,8 @@ def dilate(field: Field, log2_lambda: int, l2_normalized: bool = False) -> Field
     if log2_lambda == 0:
         return field
     grid = field.grid
+    if 2 ** abs(log2_lambda) >= grid.points_per_dim:
+        raise ValueError("dilation stride exceeds grid size")
     data = dilate_reference(field.data, field.domain is Domain.PHYSICAL,
                             grid.box_length, log2_lambda, l2_normalized)
     return Field(grid, field.domain, data)

@@ -27,7 +27,7 @@ from gnlab.spectral import (
     to_physical,
 )
 from gnlab.testfuncs import gaussian, random_band_limited
-from instruments import dilate
+from instruments import apply_symbol, dilate, lowpass_multiplier
 from oracles import sobolev_l2_parseval
 
 
@@ -392,7 +392,6 @@ class TestZeroPieces:
     def test_one_inverse_per_nonzero_piece(self, n, m, monkeypatch):
         from gnlab.norms import _IDENTITY, _pieces
         from gnlab.spectral import shell_multiplier, symbol_values
-        from instruments import lowpass_multiplier
 
         calls = []
         # a complex inverse is one ifftn; a real one (spectral._irfftn) ends
@@ -520,7 +519,6 @@ class TestSobolevRealPath:
     @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64), (3, 32)])
     def test_against_complex_path(self, n, m):
         from gnlab.spectral import Bessel, FracLaplacian
-        from instruments import apply_symbol
 
         hat = _hermitian_field(n, m, seed=13)
         g = hat.grid
