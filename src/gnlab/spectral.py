@@ -222,6 +222,24 @@ def _irfftn(grid: Grid, half: np.ndarray, out: Optional[np.ndarray] = None) -> n
     return np.fft.irfft(half, n=grid.points_per_dim, axis=-1, out=out)
 
 
+def _resample(arr: np.ndarray, dst: Grid) -> np.ndarray:
+    """Real samples arr on a grid of dst's dimension and box, carried to
+    dst by their half spectrum: the block |k_i| < min(m_src, m_dst)/2 on
+    every axis is copied, scaled by (m_dst/m_src)^n, and every other mode
+    is zero.  A coarser dst truncates, a finer one zero-pads, and the
+    coarser grid's Nyquist planes are dropped either way, so a field
+    band-limited below them comes back to round-off."""
+    m_src, m_dst = arr.shape[0], dst.points_per_dim
+    c = min(m_src, m_dst) // 2
+
+    def block(m):  # |k_i| < c on the half spectrum of an m-point grid
+        return np.ix_(*[np.r_[0:c, m - c + 1:m]] * (dst.n - 1), np.arange(c))
+
+    half = np.zeros(dst.half_shape, np.complex128)
+    half[block(m_dst)] = _rfftn(arr)[block(m_src)] * (m_dst / m_src) ** dst.n
+    return _irfftn(dst, half)
+
+
 def _spectrum(hat: Field, real: bool):
     """(data, inverse) for inverting the Fourier field hat: its half spectrum
     (the rest is its Hermitian mirror) and irfftn if it is real, its full

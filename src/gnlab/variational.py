@@ -33,6 +33,7 @@ from .spectral import (
     _irfftn,
     _mesh,
     _radial,
+    _resample,
     _rfftn,
     riesz_constant,
     symbol_values,
@@ -517,6 +518,7 @@ class CStarEstimate:
     value: float
     argmax: Field
     starts: int
+    coarse_value: Optional[float] = None
 
 
 def _ascent_eval(ws: _Workspace) -> Tuple[float, float, float]:
@@ -525,6 +527,9 @@ def _ascent_eval(ws: _Workspace) -> Tuple[float, float, float]:
     that point needs."""
     quad, inter = _evaluate(ws)
     return (inter / quad if quad > 0 else 0.0), quad, inter
+
+
+COARSE_FLOOR = 32  # the C* ascent runs first on the m/2 grid from this many points per axis
 
 
 def estimate_cstar(
@@ -537,8 +542,18 @@ def estimate_cstar(
     """Estimate of sup Upsilon(u) / (||u||_2^2 ||u||_{Hs}^2), s = (n - beta)/2,
     by multi-start normalized gradient ascent.
 
+    The starts are three Gaussians and one positive_random_field per seed,
+    built on grid.  Below COARSE_FLOOR points per axis every start climbs on
+    grid.  From it the ascent is nested: every start is restricted to the
+    m/2 grid (_resample, then clamped at 0) and climbs there, and the best
+    coarse argmax is prolonged to grid, clamped, and climbs once more.  The
+    coarse climbs carry almost all of the steps, on an eighth of the points
+    in 3D: c10's bench run on 32^3 makes 533 quotient evaluations on 16^3
+    and 109 on 32^3, where climbing every start on 32^3 made 1099 there.
+    max_iters bounds each climb.
+
     Each step's backtracking line search halves its step, up to 25 trials,
-    until the quotient rises by more than a relative 1e-12.  A start's first
+    until the quotient rises by more than a relative 1e-12.  A climb's first
     step tries 0.5.  A later step tries min(0.5, 2 x the last accepted step)
     when that step was accepted on its first trial, and the accepted step
     itself otherwise, since accepted steps settle far below 0.5 and each
@@ -546,10 +561,12 @@ def estimate_cstar(
     the ascent evaluates is normalized to mass 1, so the quotient is
     inter / quad.
 
-    Returns the best on-grid quotient found: a lower bound for the grid
-    problem only.  u^2 is formed pointwise on the grid, so its frequencies
-    above Nyquist alias into Upsilon, and the value is not a bound on the
-    supremum over band-limited or continuum functions.
+    Returns the quotient of the last climb on grid: a lower bound for the
+    grid problem only.  u^2 is formed pointwise on the grid, so its
+    frequencies above Nyquist alias into Upsilon, and the value is not a
+    bound on the supremum over band-limited or continuum functions.
+    coarse_value is the best quotient on the m/2 grid, or None without a
+    coarse stage; its gap to value is a resolution estimate.
     """
     if grid.n != n:
         raise ValueError("grid dimension mismatch")
@@ -562,6 +579,21 @@ def estimate_cstar(
     for seed in seeds:
         starts.append(positive_random_field(grid, seed).data.real)
 
+    coarse_value = None
+    climbs = starts
+    if grid.points_per_dim >= COARSE_FLOOR:
+        coarse = Grid(n, grid.points_per_dim // 2, grid.box_length)
+        restricted = [np.maximum(_resample(arr, coarse), 0.0) for arr in starts]
+        coarse_value, coarse_arr = _ascend(coarse, params, restricted, max_iters)
+        climbs = [np.maximum(_resample(coarse_arr, grid), 0.0)]
+    value, best_arr = _ascend(grid, params, climbs, max_iters)
+    return CStarEstimate(value, Field(grid, Domain.PHYSICAL, best_arr), len(starts), coarse_value)
+
+
+def _ascend(grid: Grid, params: EnergyParams, starts: Sequence[np.ndarray],
+            max_iters: int) -> Tuple[float, np.ndarray]:
+    """The climbs of estimate_cstar on grid, one per start, in one
+    _Workspace: the best quotient and a copy of its argmax."""
     ws = _Workspace(grid, params, 1)
     best_val = -1.0
     best_arr = None
@@ -606,7 +638,7 @@ def estimate_cstar(
             best_arr = ws.points[0][0].copy()  # the workspace is reused by the next start
     if best_arr is None or best_val <= 0:
         raise DivergenceError("all ascent starts degenerated")
-    return CStarEstimate(best_val, Field(grid, Domain.PHYSICAL, best_arr), len(starts))
+    return best_val, best_arr
 
 
 # ---------------------------------------------------------------------------

@@ -66,17 +66,11 @@ def apply_symbol(field: Field, symbol: Symbol) -> Field:
 def dilate(field: Field, log2_lambda: int, l2_normalized: bool = False) -> Field:
     """Dyadic dilation u(x) -> lambda^a u(lambda x), lambda = 2^log2_lambda,
     a = n/2 when l2_normalized, else 0: oracles.dilate_reference on the
-    field's data, in the field's domain.  The identity at log2_lambda = 0,
-    where the reference would still round-trip through the FFT and drop the
-    Nyquist plane."""
-    if log2_lambda == 0:
-        return field
-    grid = field.grid
-    if 2 ** abs(log2_lambda) >= grid.points_per_dim:
-        raise ValueError("dilation stride exceeds grid size")
+    field's data, in the field's domain; field itself when the reference
+    hands its data back (log2_lambda = 0)."""
     data = dilate_reference(field.data, field.domain is Domain.PHYSICAL,
-                            grid.box_length, log2_lambda, l2_normalized)
-    return Field(grid, field.domain, data)
+                            field.grid.box_length, log2_lambda, l2_normalized)
+    return field if data is field.data else field.with_data(data)
 
 
 @dataclass(frozen=True)

@@ -92,15 +92,21 @@ def dilate_reference(data: np.ndarray, physical: bool, L: float, log2_lambda: in
     resample the Fourier data at stride 2^|m| and keep the points with every
     lattice index |k| < M / (2 stride).  Gathers and masks use explicit
     np.indices arrays; transforms are fftn * h^n and ifftn / h^n.  The result
-    is returned in the input's domain.
+    is returned in the input's domain.  log2_lambda = 0 returns data itself,
+    and a stride of at least M, which would keep only the origin sample,
+    raises ValueError.
     """
     n = data.ndim
     M = data.shape[0]
     w = (L / M) ** n
     m = int(log2_lambda)
+    if m == 0:
+        return data
     lam = 2.0 ** m
     a = n / 2.0 if l2_normalized else 0.0
     stride = 2 ** abs(m)
+    if stride >= M:
+        raise ValueError("dilation stride exceeds grid size")
     idx = np.indices(data.shape)
     gather = tuple((i * stride) % M for i in idx)
     if m > 0:

@@ -21,8 +21,10 @@ from gnlab.spectral import (
     to_physical,
     transform,
 )
+from gnlab.spectral import _resample
 from gnlab.testfuncs import gaussian, random_band_limited
 from instruments import apply_symbol, dilate, dyadic_project, lowpass_multiplier, partition_check
+from oracles import dilate_reference
 
 
 def plane_wave(grid, xi0):
@@ -421,6 +423,20 @@ class TestDilate:
         f = gaussian(g, 0.8)
         assert dilate(f, 0) is f
 
+    def test_reference_identity_at_zero(self):
+        """The oracle hands its input back at log2_lambda = 0, in either
+        domain, with no FFT round trip to drop the Nyquist planes."""
+        data = np.random.default_rng(3).standard_normal((16, 16)).astype(complex)
+        for physical in (True, False):
+            assert dilate_reference(data, physical, 10.0, 0, True) is data
+
+    @pytest.mark.parametrize("log2_lambda", [4, -4, 5])
+    def test_reference_rejects_stride_of_grid_size(self, log2_lambda):
+        """A stride of at least the grid size would keep the origin sample only."""
+        data = np.random.default_rng(4).standard_normal((16, 16)).astype(complex)
+        with pytest.raises(ValueError, match="stride"):
+            dilate_reference(data, True, 10.0, log2_lambda, False)
+
     def test_l2_mass_preserved(self):
         g = make_grid(2, 128, 20.0)
         f = gaussian(g, 1.5)
@@ -443,6 +459,44 @@ class TestDilate:
         f = gaussian(g, 1.0)
         fd = dilate(dilate(f, -1, l2_normalized=True), 1, l2_normalized=True)
         assert np.max(np.abs(to_physical(fd).data - to_physical(f).data)) < 1e-8
+
+
+class TestResample:
+    """spectral._resample: truncation to a coarser grid, zero padding to a
+    finer one, on the half spectrum."""
+
+    @staticmethod
+    def band_limited(grid, seed):
+        """A real field whose modes all have |k_i| < m/4, below the Nyquist
+        planes of the m/2 grid."""
+        m, n = grid.points_per_dim, grid.n
+        hat = np.fft.rfftn(np.random.default_rng(seed).standard_normal(grid.shape))
+        k = np.abs(np.fft.fftfreq(m, d=1.0 / m))
+        for ax in range(n):
+            shape = [1] * n
+            shape[ax] = -1
+            along = k if ax < n - 1 else k[: m // 2 + 1]
+            hat = hat * (along < m // 4).reshape(shape)
+        return np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(n)))
+
+    @pytest.mark.parametrize("n,m", [(1, 64), (2, 32), (3, 32)])
+    def test_down_then_up_and_every_other_sample(self, n, m):
+        fine = make_grid(n, m, 12.0)
+        coarse = make_grid(n, m // 2, 12.0)
+        f = self.band_limited(fine, n)
+        scale = np.max(np.abs(f))
+        down = _resample(f, coarse)
+        assert down.shape == coarse.shape
+        assert np.max(np.abs(down - f[(slice(None, None, 2),) * n])) <= 1e-13 * scale
+        back = _resample(down, fine)
+        assert back.shape == fine.shape
+        assert np.max(np.abs(back - f)) <= 1e-13 * scale
+
+    def test_coarse_nyquist_plane_dropped(self):
+        """The coarse grid's Nyquist mode has no mirror on the finer
+        lattice, so prolongation drops it."""
+        alternating = np.cos(np.pi * np.arange(16))  # the mode k = 8 of 16 points
+        assert np.max(np.abs(_resample(alternating, make_grid(1, 32, 12.0)))) < 1e-15
 
 
 class TestGNF1:
