@@ -10,16 +10,16 @@ violated conditions readable as slopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .checker import GNProblem, Scale, SpaceTriple, Verdict, auto_check
-from .norms import NormFamily, NormSpec, norm_values
+from .norms import NormFamily, NormSpec, norm_values, norm_values_seq
 from .spectral import Field, Grid
-from .testfuncs import FamilyKind, LacunaryFamily, build_family
+from .testfuncs import FamilyKind, LacunaryFamily, family_members
 
 
 def _exp(inv: Fraction) -> float:
@@ -76,10 +76,14 @@ def gn_norms(
     shell_range: Optional[Tuple[int, int]] = None,
 ) -> Tuple[float, float, float]:
     """(target, source0, source1) norms of one field from one piece loop."""
-    triples = (problem.target, problem.source0, problem.source1)
-    specs = [space_norm_spec(problem.scale, tr, shell_range) for tr in triples]
-    t, a, b = norm_values(field, specs)
+    t, a, b = norm_values(field, _gn_specs(problem, shell_range))
     return t, a, b
+
+
+def _gn_specs(problem: GNProblem, shell_range: Optional[Tuple[int, int]]) -> List[NormSpec]:
+    """The specs of the (target, source0, source1) norms."""
+    triples = (problem.target, problem.source0, problem.source1)
+    return [space_norm_spec(problem.scale, tr, shell_range) for tr in triples]
 
 
 def _ratio(norms: Tuple[float, float, float], theta: Fraction) -> float:
@@ -169,7 +173,16 @@ def growth_experiment(
     """Ratios and fitted slope across family sizes.
 
     All norms share the shell range of the largest family member, so
-    truncation bias cancels in the quotients.
+    truncation bias cancels in the quotients.  The members are built in one
+    pass over the shells (testfuncs.family_members) and streamed into one
+    norm loop (norms.norm_values_seq), so at most two members' spectra are
+    alive at once.  Member c differs from the member before only on the
+    support of the bumps added since, which lies in the exact band of their
+    own shells; every other shell's multiplier is 0 there, so on the Besov
+    scales those shells' L^p terms are carried over rather than transformed
+    again (Triebel, Lebesgue and Sobolev pieces are built for every
+    member).  The loop checks that from the data, so the norms are
+    bit-identical to gn_norms of each member built alone.
     """
     indices = sorted(int(i) for i in indices)
     if len(indices) < 4:
@@ -179,10 +192,8 @@ def growth_experiment(
     top = family.j0 + max(indices) - 1
     lo, hi = grid.shell_bounds
     shell_range = (max(family.j0 - 1, lo), min(top + 1, hi))
-    norms = [
-        gn_norms(build_family(replace(family, index=count), grid), problem, shell_range)
-        for count in indices
-    ]
+    members = family_members(family, grid, indices)
+    norms = [tuple(values) for values in norm_values_seq(members, _gn_specs(problem, shell_range))]
     ratios = [_ratio(triple, problem.theta) for triple in norms]
     if family.cardinality_type:
         axis = "log2count"

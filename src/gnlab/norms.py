@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .spectral import (
     Bessel,
     Grid,
     _cutoff,
+    _cutoff_profile,
+    _radii_at,
     _spectrum,
     symbol_values,
     to_fourier,
@@ -178,56 +180,125 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     q = inf, all terms being nonnegative), and its pointwise terms add 0 to
     a Triebel aggregate or leave its max unchanged.  The test is on the
     product, not the multiplier's support, so NaN data still propagates.
+
+    In a sequence of fields (norm_values_seq), a shell or low-pass piece
+    whose multiplier is 0 at every position where the field's spectrum
+    differs (!=) from the previous field's takes that field's weighted L^p
+    terms instead of an inverse transform.  That is exact: the two pieces
+    agree wherever the spectra agree, and at a changed position both are
+    finite data times 0, a signed zero.  An inverse transform is a fixed
+    sequence of sums and products, in which the sign of a zero input can
+    only change the sign of a zero result, and |.| drops it, so equal
+    pieces give equal terms.  The rule reads the data alone.  It carries
+    nothing when a datum at a changed position is not finite, before or
+    after (NaN * 0 is NaN, and NaN propagates), nothing for the identity
+    and symbol keys, nothing for a key that a Triebel spec names (its
+    pointwise aggregate is not kept), and nothing into a field with no
+    predecessor or whose realness differs from its predecessor's.  This
+    function is the one-field case.
+    """
+    return norm_values_seq([field], specs)[0]
+
+
+def _unchanged_cutoffs(grid: Grid, data: np.ndarray, before: np.ndarray, real: bool, keys) -> set:
+    """The shell and low-pass keys among `keys` whose multiplier is 0 at every
+    position where the spectra data and before differ; none when a datum
+    there, on either side, is not finite."""
+    changed = np.flatnonzero(data != before)
+    moved = (data.flat[changed], before.flat[changed])
+    if not all(np.isfinite(side).all() for side in moved):
+        return set()
+    radii = _radii_at(grid, changed, real)
+    return {key for key in keys if not _cutoff_profile(key)(radii).any()}
+
+
+def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[List[float]]:
+    """norm_values of each field of a sequence on one grid, in order.
+
+    The fields are read one at a time, so a generator streams them, and the
+    previous field's spectrum is held only until the next one is compared
+    with it, not while that one's pieces are built.  The positions where a
+    field's spectrum differs from the previous field's are found once per
+    field, and the shell and low-pass pieces whose multiplier is 0 at all
+    of them carry their terms over (the rule and why it is exact are given
+    at norm_values).  Every row is bit-identical to norm_values of that
+    field alone.
     """
     for spec in specs:
         if spec.family in _TRIEBEL and math.isinf(spec.p):
             raise ValueError("triebel_norm requires p < inf")
-    grid = field.grid
-    w = grid.quadrature_weight
-    pieces = [_pieces(grid, spec) for spec in specs]
-    keys = sorted(dict.fromkeys(key for named in pieces for key in named), key=_piece_order)
-    direct = field.domain is Domain.PHYSICAL
-    if not direct or set(keys) - {_IDENTITY}:
-        real = field.is_real
-        data, inverse = _spectrum(to_fourier(field), real)
-    terms: List[List[float]] = [[] for _ in specs]
-    aggs = [np.zeros(grid.shape) if spec.family in _TRIEBEL else None for spec in specs]
-    for key in keys:
-        if key is _IDENTITY and direct:
-            mag = np.abs(field.data)
-        else:
-            if key is _IDENTITY:
-                piece = data
-            elif key is None or isinstance(key, int):
-                piece = data * _cutoff(grid, key, half=real)
+    rows: List[List[float]] = []
+    grid = None
+    before = before_real = carried = None  # the previous field's spectrum, realness, terms
+    for field in fields:
+        if grid is None:
+            grid = field.grid
+            w = grid.quadrature_weight
+            pieces = [_pieces(grid, spec) for spec in specs]
+            keys = sorted(dict.fromkeys(key for named in pieces for key in named), key=_piece_order)
+            triebel = {key for named, spec in zip(pieces, specs) if spec.family in _TRIEBEL for key in named}
+            reusable = {key for key in keys if (key is None or isinstance(key, int)) and key not in triebel}
+        elif field.grid != grid:
+            raise ValueError("every field of a sequence must lie on the first field's grid")
+        direct = field.domain is Domain.PHYSICAL
+        real = data = None
+        if not direct or set(keys) - {_IDENTITY}:
+            real = field.is_real
+            data, inverse = _spectrum(to_fourier(field), real)
+        reuse = set()
+        if before is not None and before_real == real:
+            reuse = _unchanged_cutoffs(grid, data, before, real, reusable)
+        before = None
+        kept = {}  # reusable key -> {spec index: weighted L^p term}
+        terms: List[List[float]] = [[] for _ in specs]
+        aggs = [np.zeros(grid.shape) if spec.family in _TRIEBEL else None for spec in specs]
+        for key in keys:
+            if key in reuse:
+                found = carried[key]
             else:
-                piece = data * symbol_values(grid, key, half=real)
-            if not piece.any():
-                continue  # adds 0 to every sum and every aggregate
-            piece = inverse(piece)
-            piece /= w
-            mag = np.abs(piece)
-            del piece
-        for i, spec in enumerate(specs):
-            weight = pieces[i].get(key)
-            if weight is None:
+                found = {}
+                if key is _IDENTITY and direct:
+                    mag = np.abs(field.data)
+                else:
+                    if key is _IDENTITY:
+                        piece = data
+                    elif key is None or isinstance(key, int):
+                        piece = data * _cutoff(grid, key, half=real)
+                    else:
+                        piece = data * symbol_values(grid, key, half=real)
+                    mag = None  # an all-zero piece adds 0 to every sum and every aggregate
+                    if piece.any():
+                        piece = inverse(piece)
+                        piece /= w
+                        mag = np.abs(piece)
+                    del piece
+                if mag is not None:
+                    for i, spec in enumerate(specs):
+                        weight = pieces[i].get(key)
+                        if weight is None:
+                            continue
+                        if aggs[i] is None:
+                            found[i] = weight * _lp(mag, spec.p, w)
+                        elif math.isinf(spec.q):
+                            aggs[i] = np.maximum(aggs[i], mag * weight)
+                        else:
+                            aggs[i] += (mag * weight) ** spec.q
+                    del mag
+            for i, term in found.items():
+                terms[i].append(term)
+            if key in reusable:
+                kept[key] = found
+        values = []
+        for spec, spec_terms, agg in zip(specs, terms, aggs):
+            if agg is None:
+                values.append(_lq_reduce(spec_terms, spec.q if spec.family in _BESOV else math.inf))
                 continue
-            if aggs[i] is None:
-                terms[i].append(weight * _lp(mag, spec.p, w))
-            elif math.isinf(spec.q):
-                aggs[i] = np.maximum(aggs[i], mag * weight)
-            else:
-                aggs[i] += (mag * weight) ** spec.q
-        del mag
-    values = []
-    for spec, spec_terms, agg in zip(specs, terms, aggs):
-        if agg is None:
-            values.append(_lq_reduce(spec_terms, spec.q if spec.family in _BESOV else math.inf))
-            continue
-        if not math.isinf(spec.q):
-            agg = agg ** (1.0 / spec.q)
-        values.append(_lp(agg, spec.p, w))
-    return values
+            if not math.isinf(spec.q):
+                agg = agg ** (1.0 / spec.q)
+            values.append(_lp(agg, spec.p, w))
+        rows.append(values)
+        before, before_real, carried = data, real, kept
+    return rows
 
 
 def besov_norm(field: Field, spec: NormSpec) -> float:

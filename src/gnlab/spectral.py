@@ -351,9 +351,23 @@ def _radial(grid: Grid, fn, half: bool = False) -> np.ndarray:
     return fn(levels)[half_inverse if half else inverse]
 
 
+def _radii_at(grid: Grid, flat: np.ndarray, half: bool) -> np.ndarray:
+    """The distinct radii |xi| at the flat positions `flat` of the full
+    lattice, or of the half lattice [..., :m//2 + 1]: the _radius_levels
+    levels they index, so a radial multiplier's profile evaluated on them
+    gives the multiplier's values there bit for bit."""
+    levels, inverse, half_inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
+    return levels[np.unique((half_inverse if half else inverse).ravel()[flat])]
+
+
+def _cutoff_profile(k: Optional[int]):
+    """The cutoff's profile in |xi|: r -> phi(2^-k r), or psi for k None."""
+    return psi if k is None else lambda r: phi(r * (2.0 ** (-k)))
+
+
 def _cutoff(grid: Grid, k: Optional[int], half: bool = False) -> np.ndarray:
     """phi(2^-k |xi|), or psi(|xi|) for k None, on the full or the half lattice."""
-    return _radial(grid, psi if k is None else lambda r: phi(r * (2.0 ** (-k))), half)
+    return _radial(grid, _cutoff_profile(k), half)
 
 
 def shell_multiplier(grid: Grid, k: int) -> np.ndarray:

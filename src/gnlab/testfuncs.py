@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,19 +115,42 @@ def bump_center(j: int, freq_spacing: float, n: int) -> np.ndarray:
 
 
 def build_family(family: LacunaryFamily, grid: Grid) -> Field:
-    """Assemble the Fourier-domain field of the bump train.
+    """Assemble the Fourier-domain field of the bump train with family.index
+    bumps, each checked to lie in the exact band of its shell.
 
-    Every bump's lattice support must fall inside the closed band
-    [(OUTER/2) 2^j, INNER 2^j] = [0.75 * 2^j, 2^j] where the shell-j cutoff
-    is exactly 1 and all other cutoffs vanish; otherwise the family is
-    rejected with the largest admissible count.
+    This is the one-count case of family_members, which builds several
+    counts in one pass over the shells.  Member c there is member c-1 plus
+    bump c, the same additions in the same order as here, so each member is
+    bit-identical to build_family of its count.
+    """
+    return next(family_members(family, grid, (family.index,)))
+
+
+def family_members(family: LacunaryFamily, grid: Grid, counts: Sequence[int]) -> Iterator[Field]:
+    """The members of the train with `counts` bumps (increasing), built in
+    one pass over the shells; family.index is not read.
+
+    Member c's data are member c-1's plus bump c: the sum 0 + b_1 + ... + b_c
+    in that order, as a separate build of c bumps forms it, so every member
+    is bit-identical to build_family of that count.  Each sum is a fresh
+    array, so a member handed out keeps its data and the generator holds no
+    copy of its own.  Every bump's lattice support must fall inside the
+    closed band [(OUTER/2) 2^j, INNER 2^j] = [0.75 * 2^j, 2^j] where the
+    shell-j cutoff is exactly 1 and all other cutoffs vanish; otherwise the
+    family is rejected with the largest admissible count.
     """
     if grid.n != family.n:
         raise ValueError("family dimension does not match the grid")
-    j_lo, j_hi = family.shells
+    counts = list(counts)
+    if any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ValueError("member counts must be strictly increasing")
+    if min(counts) < 1:
+        raise ValueError("index (bump count) must be >= 1")
+    j_lo = family.j0
+    wanted = set(counts)
     data = np.zeros(grid.shape, dtype=np.complex128)
     count_ok = 0
-    for j in range(j_lo, j_hi + 1):
+    for j in range(j_lo, j_lo + counts[-1]):
         center = bump_center(j, grid.freq_spacing, grid.n)
         scale = 2.0 ** float(family.width_log2(j))
         outer = center[0] + OUTER / scale
@@ -151,9 +174,12 @@ def build_family(family: LacunaryFamily, grid: Grid) -> Field:
                 f"shell {j}: bump support leaves the exact band of its shell; "
                 f"largest admissible count for this grid and j0={family.j0} is {count_ok}"
             )
-        data += 2.0 ** (float(family.amplitude_exponent) * j) * bump
+        data = data + 2.0 ** (float(family.amplitude_exponent) * j) * bump
+        del r, bump, support, radius
         count_ok = j - j_lo + 1
-    return Field(grid, Domain.FOURIER, data)
+        if count_ok in wanted:
+            data.flags.writeable = False  # Field keeps it without a copy
+            yield Field(grid, Domain.FOURIER, data)
 
 
 def gaussian(grid: Grid, width: float, center: Optional[Tuple[float, ...]] = None) -> Field:

@@ -16,9 +16,11 @@ from gnlab.harness import (
     transpose_to_1d,
 )
 from gnlab.regression import (
+    BlowupCase,
     eps_blowup_case,
     regression_table,
     run_regression,
+    scaled_blowup_case,
     triebel_blowup_case,
 )
 from gnlab.spectral import make_grid
@@ -100,12 +102,21 @@ class TestGrowthExperiments:
         full = growth_experiment(case.problem, case.family, tuple(range(4, 12)), g)
         assert abs(full.fitted_slope - short.fitted_slope) < 0.2 * abs(full.fitted_slope)
 
-    def test_norms_carried_per_index(self):
-        case = eps_blowup_case(points=2 ** 12)
-        g = case_grid(case, 2 ** 12)
-        exp = growth_experiment(case.problem, case.family, (4, 5, 6, 7), g)
+    @pytest.mark.parametrize("make", [
+        lambda: (eps_blowup_case(points=2 ** 12), (4, 5, 6, 7), 2 ** 12),
+        lambda: (scaled_blowup_case(1), (1, 2, 3, 4), 2 ** 13),
+        lambda: (triebel_blowup_case(2), (4, 5, 6, 7, 8), 2 ** 12),
+        lambda: (triebel_blowup_case("inf"), (4, 5, 6, 7, 8), 2 ** 12),
+        lambda: (_riesz_section_case(), (3, 4, 5, 6), 2 ** 12),
+    ], ids=["eps", "scaled-q1", "triebel-q2", "triebel-qinf", "riesz-section"])
+    def test_norms_carried_per_index(self, make):
+        """The streamed members' norms equal gn_norms/gn_ratio of each member
+        built alone, on every family kind and norm scale."""
+        case, indices, points = make()
+        g = case_grid(case, points)
+        exp = growth_experiment(case.problem, case.family, indices, g)
         lo, hi = g.shell_bounds
-        rng = (max(case.family.j0 - 1, lo), min(case.family.j0 + 7, hi))  # top index 7
+        rng = (max(case.family.j0 - 1, lo), min(case.family.j0 + max(indices), hi))
         for count, norms, ratio in zip(exp.indices, exp.norms, exp.ratios):
             field = build_family(replace(case.family, index=count), g)
             assert norms == gn_norms(field, case.problem, rng)
@@ -120,6 +131,15 @@ class TestGrowthExperiments:
 def case_grid(case, points):
     n, _, L = case.grid_spec
     return make_grid(n, points, L)
+
+
+def _riesz_section_case():
+    """The 1D section of the Ladyzhenskaya instance with its eps train:
+    Lebesgue (s = 0) and Sobolev (s = 1) norms."""
+    inst = next(i for i in regression_table() if i.name == "ladyzhenskaya_2d")
+    section = transpose_to_1d(inst.problem)
+    return BlowupCase("riesz-section", section, eps_bump_family_for(section), (3, 4, 5, 6),
+                      (1, 2 ** 12, 4 * math.pi), 0.0, (), "riesz")
 
 
 class TestTranspose:

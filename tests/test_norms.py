@@ -12,6 +12,7 @@ from gnlab.norms import (
     compute_norm,
     lp_norm,
     norm_values,
+    norm_values_seq,
     sobolev_norm,
     triebel_norm,
 )
@@ -419,10 +420,92 @@ class TestZeroPieces:
             norm_values(f, self.SPECS)
             assert len(calls) == nonzero
 
+    # one Triebel spec names shells 0-1 only, so the other shells (and the
+    # low-pass block) of the Besov specs may be carried from field to field
+    SEQ_SPECS = [
+        spec for spec in SPECS
+        if spec.family not in (NormFamily.HOMOG_TRIEBEL, NormFamily.INHOMOG_TRIEBEL)
+    ] + [bspec(0.5, 1.5, 2.0, NormFamily.HOMOG_TRIEBEL, (0, 1))]
+
+    @staticmethod
+    def _plus_pair(f, k):
+        """f in Fourier form plus 1 at the lattice point (7/8) 2^k e1, inside
+        shell k's exact band, and at its mirror, so realness is kept."""
+        g = f.grid
+        data = to_fourier(f).data.copy()
+        i = round(7.0 * 2.0 ** (k - 3) / g.freq_spacing)
+        rest = (0,) * (g.n - 1)
+        data[(i,) + rest] += 1.0
+        data[(-i % g.points_per_dim,) + rest] += 1.0
+        return Field(g, Domain.FOURIER, data)
+
+    @pytest.mark.parametrize("n,m,k", [(1, 1024, 5), (3, 32, 2)])
+    def test_sequence_equals_one_field_values(self, n, m, k):
+        """[f, f, g], with g = f plus a mode pair in shell k: every row is the
+        one-field row, for real and complex fields in both domains."""
+        for specs in (self.SPECS, self.SEQ_SPECS):
+            for f in self._fields(n, m):
+                g = self._plus_pair(f, k)
+                if f.domain is Domain.PHYSICAL:
+                    g = to_physical(g)
+                rows = norm_values_seq([f, f, g], specs)
+                assert rows == [norm_values(f, specs), norm_values(f, specs), norm_values(g, specs)]
+
+    @pytest.mark.parametrize("n,m,k", [(1, 1024, 5), (3, 32, 2)])
+    def test_sequence_transforms_only_changed_shells(self, n, m, k, monkeypatch):
+        """In [f, f, g] the second f transforms only the keys that may not be
+        carried (identity, symbols, Triebel shells), and g besides those only
+        the shells whose multiplier meets its change."""
+        from gnlab.norms import _IDENTITY, _pieces
+        from gnlab.spectral import shell_multiplier, symbol_values
+
+        calls = []
+        for name in ("ifftn", "irfft"):
+            orig = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=orig, **k: calls.append(1) or _f(*a, **k))
+        specs = self.SEQ_SPECS
+        for f in self._fields(n, m)[::2]:  # the Fourier-form real and complex fields
+            grid, g = f.grid, self._plus_pair(f, k)
+            changed = np.flatnonzero(g.data != f.data)
+            keys = {key for spec in specs for key in _pieces(grid, spec)}
+            triebel = {key for spec in specs if spec.family is NormFamily.HOMOG_TRIEBEL
+                       for key in _pieces(grid, spec)}
+            rebuilt = {"f": 0, "f again": 0, "g": 0}
+            for key in keys:
+                if key is _IDENTITY:
+                    mult = 1.0
+                elif key is None:
+                    mult = lowpass_multiplier(grid)
+                elif isinstance(key, int):
+                    mult = shell_multiplier(grid, key)
+                else:
+                    mult = symbol_values(grid, key)
+                carried = (key is None or isinstance(key, int)) and key not in triebel
+                rebuilt["f"] += bool((f.data * mult).any())
+                rebuilt["f again"] += bool((f.data * mult).any()) and not carried
+                meets = bool(np.any(np.broadcast_to(mult, grid.shape).flat[changed] != 0))
+                rebuilt["g"] += bool((g.data * mult).any()) and (meets or not carried)
+            assert rebuilt["f again"] < rebuilt["f"] and rebuilt["f again"] < rebuilt["g"]
+            marks = []
+
+            def stream():
+                for name, field in (("f", f), ("f again", f), ("g", g)):
+                    marks.append((name, len(calls)))
+                    yield field
+
+            norm_values_seq(stream(), specs)
+            counts = np.diff([mark for _, mark in marks] + [len(calls)])
+            assert dict(zip([name for name, _ in marks], counts.tolist())) == rebuilt
+
     def test_nan_data_propagates(self):
         """A NaN off every piece's support still reaches every value: the
         shell 5 lies off both the band [4, 8] and the NaN at |xi| = 1/2, so
-        a skip decided by supports would read 0 there."""
+        a skip decided by supports would read 0 there.  In a sequence, a
+        NaN in a later field where every shell but the low-pass block is 0
+        still reaches all of that field's values, though those shells are
+        unchanged elsewhere, and a NaN field before a finite one leaves the
+        finite one's values as they are alone.  The sequence's fields are
+        complex, so realness does not block the carry."""
         g = make_grid(1, 256, 4 * math.pi)
         hat = random_band_limited(g, 2, 3, seed=3)
         data = hat.data.copy()
@@ -431,6 +514,14 @@ class TestZeroPieces:
                               bspec(0.0, 2.0, 2.0, NormFamily.HOMOG_TRIEBEL, (5, 5))]
         values = norm_values(hat.with_data(data), specs)
         assert all(math.isnan(v) for v in values)
+
+        skew = hat.with_data(hat.data * (1.0 + 0.5j))
+        bad = skew.with_data(data * (1.0 + 0.5j))
+        specs = self.SEQ_SPECS + [bspec(0.0, 2.0, 2.0, shell_range=(5, 5))]
+        rows = norm_values_seq([skew, bad], specs)
+        assert rows[0] == norm_values(skew, specs)
+        assert all(math.isnan(v) for v in rows[1])
+        assert norm_values_seq([bad, skew], specs)[1] == norm_values(skew, specs)
 
 
 def _hermitian_field(n, m, seed):

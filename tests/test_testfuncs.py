@@ -1,5 +1,6 @@
 """Test-field constructors: bump trains, Gaussians, random band-limited noise."""
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +13,7 @@ from gnlab.testfuncs import (
     LacunaryFamily,
     build_family,
     bump_center,
+    family_members,
     gaussian,
     random_band_limited,
 )
@@ -110,6 +112,29 @@ class TestBumpTrains:
         grid = make_grid(1, 64, 2 * math.pi)  # spacing 1: no points in the annulus
         with pytest.raises(ValueError, match="no lattice support"):
             build_family(eps_train(2), grid)
+
+    @pytest.mark.parametrize("fam,grid,counts", [
+        (eps_train(1), GRID, (1, 3, 4, 6)),
+        (LacunaryFamily(FamilyKind.SCALED_BUMP_TRAIN, n=1, index=1, j0=4, lam=F(1, 2)),
+         make_grid(1, 2 ** 13, 32 * math.pi), (1, 2, 4)),
+    ], ids=["eps", "scaled"])
+    def test_members_are_sums_in_shell_order(self, fam, grid, counts):
+        """Each member is bit for bit the sum 0 + b_1 + ... + b_c of its
+        one-bump trains, in shell order, and owns its (read-only) data."""
+        members = list(family_members(fam, grid, counts))
+        ref = np.zeros(grid.shape, dtype=np.complex128)
+        for c in range(1, counts[-1] + 1):
+            ref += build_family(replace(fam, j0=fam.j0 + c - 1, index=1), grid).data
+            if c in counts:
+                member = members[counts.index(c)]
+                assert member.data.tobytes() == ref.tobytes()
+        assert not any(m.data.flags.writeable for m in members)
+        assert not np.shares_memory(members[0].data, members[1].data)
+
+    def test_member_counts_increase(self):
+        for counts in ((3, 3), (4, 2), (0, 1)):
+            with pytest.raises(ValueError):
+                list(family_members(eps_train(1), GRID, counts))
 
     def test_3d_train_builds(self):
         grid = make_grid(3, 128, 4 * math.pi)
