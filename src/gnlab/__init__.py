@@ -24,7 +24,7 @@ from .checker import (
     check_triebel,
     scaling_balance,
 )
-from .norms import NormFamily, NormSpec, besov_norm, compute_norm, lp_norm, sobolev_norm, triebel_norm
+from .norms import NormFamily, NormSpec, compute_norm, norm_values, norm_values_seq
 from .spectral import (
     Bessel,
     Domain,

@@ -14,7 +14,6 @@ of checkable conditions; see README for the code -> meaning table.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -22,6 +21,7 @@ from typing import Sequence
 
 from .rational import (
     as_fraction,
+    as_int,
     format_exponent_from_inv,
     format_rational,
     inv_exponent,
@@ -108,9 +108,6 @@ class GNProblem:
             "source1": self.source1.to_json_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "GNProblem":
         required = {"n", "theta", "scale", "target", "source0", "source1"}
@@ -121,17 +118,13 @@ class GNProblem:
         if missing:
             raise ValueError(f"missing problem keys: {sorted(missing)}")
         return cls(
-            n=int(d["n"]),
+            n=as_int(d["n"], "n"),
             theta=as_fraction(d["theta"]),
             target=SpaceTriple.from_json_dict(d["target"]),
             source0=SpaceTriple.from_json_dict(d["source0"]),
             source1=SpaceTriple.from_json_dict(d["source1"]),
             scale=Scale(d["scale"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GNProblem":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from . import checker, fieldio
 from .checker import GNProblem, check_by_rule, auto_check
 from .harness import growth_experiment
 from .norms import NormFamily, NormSpec, compute_norm
-from .rational import as_exact, as_fraction, format_rational
+from .rational import as_exact, as_fraction, as_int, format_rational
 from .regression import run_regression, section_slope
 from .spectral import Domain, Field, Grid, make_grid
 from .testfuncs import FamilyKind, LacunaryFamily, build_family, gaussian, random_band_limited
@@ -167,7 +167,8 @@ RATIONAL_ARG = _arg_type(as_fraction, "rational (decimal or a/b)")
 def _config_grid(gspec: dict) -> Grid:
     """The grid of a config's "grid" object; box_length also takes "a/b"."""
     box = _parse_real(str(gspec["box_length"]))
-    return make_grid(int(gspec["n"]), int(gspec["points_per_dim"]), box)
+    n, m = as_int(gspec["n"], "grid n"), as_int(gspec["points_per_dim"], "grid points_per_dim")
+    return make_grid(n, m, box)
 
 
 def cmd_norm(args) -> int:
@@ -199,7 +200,7 @@ def _family(kind: str, n: int, params: dict, index: int = 1, j0=2) -> LacunaryFa
     if unknown:
         raise ValueError(f"unknown family params {sorted(unknown)}")
     return LacunaryFamily(
-        kind=FamilyKind(kind), n=n, index=index, j0=int(j0),
+        kind=FamilyKind(kind), n=n, index=index, j0=as_int(j0, "j0"),
         **{k: as_fraction(v) for k, v in params.items()},
     )
 

@@ -13,6 +13,7 @@ from typing import Union
 
 import numpy as np
 
+from .rational import as_int
 from .spectral import Domain, Field, Grid
 
 MAGIC = b"GNFIELD1"
@@ -52,7 +53,9 @@ def read_gnf(path: Union[str, Path]) -> Field:
             raise ValueError(f"{path}: header is not a JSON object")
         if header.get("dtype") != "c128":
             raise ValueError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-        grid = Grid(int(header["n"]), int(header["points_per_dim"]), float(header["box_length"]))
+        n = as_int(header["n"], f"{path}: n")
+        m = as_int(header["points_per_dim"], f"{path}: points_per_dim")
+        grid = Grid(n, m, float(header["box_length"]))
         raw = fh.read()
     expected = np.prod(grid.shape) * 16
     if len(raw) != expected:

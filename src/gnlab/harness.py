@@ -18,6 +18,7 @@ import numpy as np
 
 from .checker import GNProblem, Scale, SpaceTriple, Verdict, auto_check
 from .norms import NormFamily, NormSpec, norm_values, norm_values_seq
+from .rational import as_int
 from .spectral import Field, Grid
 from .testfuncs import FamilyKind, LacunaryFamily, family_members
 
@@ -184,7 +185,7 @@ def growth_experiment(
     member).  The loop checks that from the data, so the norms are
     bit-identical to gn_norms of each member built alone.
     """
-    indices = sorted(int(i) for i in indices)
+    indices = sorted(as_int(i, "indices") for i in indices)
     if len(indices) < 4:
         raise ValueError("need at least 4 indices for a fit")
     if len(set(indices)) != len(indices):

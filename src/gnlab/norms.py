@@ -34,6 +34,21 @@ from .spectral import (
 
 
 class NormFamily(Enum):
+    """The norms of a NormSpec, each computed by norm_values (compute_norm
+    adds the shell range and warnings).  w = spacing^n is the quadrature
+    weight and shell_k f the k-th dyadic piece phi(2^-k |xi|) f^.
+
+      Lebesgue        (sum |f|^p w)^(1/p); p = inf is the grid max
+      HomogBesov      l^q over shells k of 2^(ks) ||shell_k f||_p
+      InhomogBesov    the same, with shells k <= 0 replaced by the single
+                      low-pass block psi(|xi|) f^, which enters with weight 1
+      HomogTriebel    L^p norm of the pointwise l^q aggregate over shells of
+                      2^(ks) |shell_k f|; p < inf only
+      InhomogTriebel  the same, with the low-pass block as for InhomogBesov
+      HomogSobolev    ||(-Lap)^(s/2) f||_p
+      BesselSobolev   ||(m^2 - Lap)^(s/2) f||_p
+    """
+
     LEBESGUE = "Lebesgue"
     HOMOG_BESOV = "HomogBesov"
     INHOMOG_BESOV = "InhomogBesov"
@@ -96,11 +111,6 @@ def _lp(mag: np.ndarray, p: float, w: float) -> float:
     if math.isinf(p):
         return float(mag.max())
     return float((np.sum(mag ** p) * w) ** (1.0 / p))
-
-
-def lp_norm(field: Field, p: float) -> float:
-    """(sum |f|^p w)^(1/p) with w = spacing^n; p = inf is the grid max."""
-    return norm_values(field, [NormSpec(NormFamily.LEBESGUE, p=p)])[0]
 
 
 def _resolve_shells(grid: Grid, spec: NormSpec) -> range:
@@ -226,7 +236,7 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
     """
     for spec in specs:
         if spec.family in _TRIEBEL and math.isinf(spec.p):
-            raise ValueError("triebel_norm requires p < inf")
+            raise ValueError("Triebel norms require p < inf")
     rows: List[List[float]] = []
     grid = None
     before = before_real = carried = None  # the previous field's spectrum, realness, terms
@@ -299,31 +309,6 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
         rows.append(values)
         before, before_real, carried = data, real, kept
     return rows
-
-
-def besov_norm(field: Field, spec: NormSpec) -> float:
-    """l^q over shells of 2^(ks) ||shell_k f||_p.
-
-    The inhomogeneous variant replaces shells k <= 0 by the single low-pass
-    block, which enters with weight 1.
-    """
-    if spec.family not in _BESOV:
-        raise ValueError(f"besov_norm got family {spec.family}")
-    return norm_values(field, [spec])[0]
-
-
-def triebel_norm(field: Field, spec: NormSpec) -> float:
-    """L^p norm of the pointwise l^q aggregate over shells; p < inf only."""
-    if spec.family not in _TRIEBEL:
-        raise ValueError(f"triebel_norm got family {spec.family}")
-    return norm_values(field, [spec])[0]
-
-
-def sobolev_norm(field: Field, spec: NormSpec) -> float:
-    """||(-Lap)^(s/2) f||_p, or ||(m^2 - Lap)^(s/2) f||_p."""
-    if spec.family not in _SOBOLEV:
-        raise ValueError(f"sobolev_norm got family {spec.family}")
-    return norm_values(field, [spec])[0]
 
 
 def compute_norm(field: Field, spec: NormSpec) -> NormResult:

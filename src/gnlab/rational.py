@@ -26,6 +26,20 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def as_int(x, key: str) -> int:
+    """An integer read from outside input (a JSON number or an integer
+    string) exactly: a bool, or a number that int() would truncate, raises
+    ValueError naming key."""
+    if not isinstance(x, bool):
+        try:
+            value = int(x)
+            if isinstance(x, str) or value == x:
+                return value
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{key} must be an integer; got {x!r}")
+
+
 def as_exact(x) -> Fraction:
     """as_fraction that also takes floats, each read as the decimal it prints
     as, so 2.2 is 11/5."""

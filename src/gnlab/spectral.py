@@ -173,9 +173,6 @@ class Field:
             arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    def with_data(self, data: np.ndarray, domain: Optional[Domain] = None) -> "Field":
-        return Field(self.grid, domain or self.domain, data)
-
     @cached_property
     def is_real(self) -> bool:
         """Whether the field is exactly real: zero imaginary part in physical
@@ -191,12 +188,12 @@ def _conjugate_reverse(arr: np.ndarray) -> np.ndarray:
     return np.conj(np.roll(np.flip(arr), 1, axis=tuple(range(arr.ndim))))
 
 
-def _mark_real(field: Field) -> Field:
-    """Record that `field` is exactly real, for a producer that built it so;
-    Field.is_real then reads the record and builds no Hermitian mirror.  The
-    record sits in the cached_property's slot, so is_real stays unsettable
-    from outside."""
-    field.__dict__["is_real"] = True
+def _mark_real(field: Field, real: bool) -> Field:
+    """Record whether `field` is exactly real, for a producer that knows it
+    from how it built the field; Field.is_real then reads the record and
+    builds no Hermitian mirror.  The record sits in the cached_property's
+    slot, so is_real stays unsettable from outside."""
+    field.__dict__["is_real"] = real
     return field
 
 
@@ -368,11 +365,6 @@ def _cutoff_profile(k: Optional[int]):
 def _cutoff(grid: Grid, k: Optional[int], half: bool = False) -> np.ndarray:
     """phi(2^-k |xi|), or psi(|xi|) for k None, on the full or the half lattice."""
     return _radial(grid, _cutoff_profile(k), half)
-
-
-def shell_multiplier(grid: Grid, k: int) -> np.ndarray:
-    """phi(2^-k |xi|) on the lattice."""
-    return _cutoff(grid, k)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,12 @@ def family_members(family: LacunaryFamily, grid: Grid, counts: Sequence[int]) ->
     closed band [(OUTER/2) 2^j, INNER 2^j] = [0.75 * 2^j, 2^j] where the
     shell-j cutoff is exactly 1 and all other cutoffs vanish; otherwise the
     family is rejected with the largest admissible count.
+
+    A bump is nonnegative and vanishes off |xi - center| < OUTER / scale, so
+    when center[0] >= OUTER / scale it lies in the half-space xi_1 > 0.  A
+    member whose bumps all do so is nonzero there and zero on the mirror
+    points, so it is not real; it is recorded as such, and Field.is_real
+    builds no Hermitian mirror for it.  Any other member is left to decide.
     """
     if grid.n != family.n:
         raise ValueError("family dimension does not match the grid")
@@ -150,10 +156,12 @@ def family_members(family: LacunaryFamily, grid: Grid, counts: Sequence[int]) ->
     wanted = set(counts)
     data = np.zeros(grid.shape, dtype=np.complex128)
     count_ok = 0
+    one_sided = True
     for j in range(j_lo, j_lo + counts[-1]):
         center = bump_center(j, grid.freq_spacing, grid.n)
         scale = 2.0 ** float(family.width_log2(j))
         outer = center[0] + OUTER / scale
+        one_sided = one_sided and center[0] >= OUTER / scale
         if outer > grid.nyquist:
             raise ValueError(
                 f"shell {j}: bump exceeds the frequency lattice; largest "
@@ -179,7 +187,8 @@ def family_members(family: LacunaryFamily, grid: Grid, counts: Sequence[int]) ->
         count_ok = j - j_lo + 1
         if count_ok in wanted:
             data.flags.writeable = False  # Field keeps it without a copy
-            yield Field(grid, Domain.FOURIER, data)
+            member = Field(grid, Domain.FOURIER, data)
+            yield _mark_real(member, False) if one_sided else member
 
 
 def gaussian(grid: Grid, width: float, center: Optional[Tuple[float, ...]] = None) -> Field:
@@ -218,7 +227,7 @@ def random_band_limited(grid: Grid, k_lo: int, k_hi: int, seed: int) -> Field:
     data = np.zeros(grid.shape, dtype=np.complex128)
     data.flat[idx] = 0.5 * (a + np.conj(a[swap]))
     data.flags.writeable = False  # Field keeps it without a copy
-    return _mark_real(Field(grid, Domain.FOURIER, data))
+    return _mark_real(Field(grid, Domain.FOURIER, data), True)
 
 
 def positive_random_field(grid: Grid, seed: int) -> Field:

@@ -21,7 +21,6 @@ from gnlab.spectral import (
     Grid,
     Symbol,
     _cutoff,
-    shell_multiplier,
     symbol_values,
     to_fourier,
     to_physical,
@@ -48,13 +47,13 @@ def _check_shell(grid: Grid, k: int) -> None:
 def dyadic_project(field: Field, k: int) -> Field:
     """Frequency-shell projection; output in the same domain as the input."""
     _check_shell(field.grid, k)
-    return _multiply(field, shell_multiplier(field.grid, k))
+    return _multiply(field, _cutoff(field.grid, k))
 
 
 def _multiply(field: Field, mult: np.ndarray) -> Field:
     """Multiply the Fourier data by `mult`; output in the input's domain."""
     hat = to_fourier(field)
-    out = hat.with_data(hat.data * mult)
+    out = Field(hat.grid, hat.domain, hat.data * mult)
     return out if field.domain is Domain.FOURIER else to_physical(out)
 
 
@@ -70,7 +69,7 @@ def dilate(field: Field, log2_lambda: int, l2_normalized: bool = False) -> Field
     hands its data back (log2_lambda = 0)."""
     data = dilate_reference(field.data, field.domain is Domain.PHYSICAL,
                             field.grid.box_length, log2_lambda, l2_normalized)
-    return field if data is field.data else field.with_data(data)
+    return field if data is field.data else Field(field.grid, field.domain, data)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def partition_check(grid: Grid) -> PartitionReport:
     r = grid.freq_radius()
     total = np.zeros_like(r)
     for k in range(grid.k_min, grid.k_max + 1):
-        total += shell_multiplier(grid, k)
+        total += _cutoff(grid, k)
     annulus = (r >= 2.0 ** grid.k_min) & (r <= 2.0 ** grid.k_max)
     if not annulus.any():
         raise ValueError("grid resolves no complete annulus")
@@ -100,7 +99,7 @@ def partition_check(grid: Grid) -> PartitionReport:
 
     inhom = lowpass_multiplier(grid)
     for k in range(1, grid.k_max + 1):
-        inhom += shell_multiplier(grid, k)
+        inhom += _cutoff(grid, k)
     inside = r <= 2.0 ** grid.k_max
     dev_inhom = float(np.max(np.abs(inhom[inside] - 1.0)))
     return PartitionReport(dev, origin, dev_inhom)

@@ -720,6 +720,68 @@ class TestOutputPaths:
                          "--box-length", "12", "--no-cache", "--output", str(out)]) == 2
 
 
+class TestIntegerInputs:
+    """Integers read from files are exact: a number that int() would
+    truncate, or a bool, exits 2 with a message naming the key, and an
+    integral number reads as before."""
+
+    def _fails(self, argv, key, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{key} must be an integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n", [2.9, True, "2.9"], ids=["float", "bool", "str"])
+    def test_problem_dimension(self, tmp_path, capsys, n):
+        """"n": 2.9 was checked as the n = 2 problem and printed Holds."""
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(PROBLEM, n=n)))
+        self._fails(["check", "--problem", str(path)], "n", capsys)
+        path.write_text(json.dumps(dict(PROBLEM, n=3.0)))
+        assert cli.main(["check", "--problem", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["problem"]["n"] == 3
+
+    @pytest.mark.parametrize("key,value", [("points_per_dim", 64.7), ("n", 1.5), ("n", True)])
+    def test_config_grid(self, tmp_path, capsys, key, value):
+        """A minimize config with points_per_dim 64.7 ran on 64 points."""
+        grid = {"n": 1, "points_per_dim": 64, "box_length": 16.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "grid": dict(grid, **{key: value}), "params": {"s": 1.0, "m2": 0.0, "beta": 0.5},
+            "masses": [1.0], "options": {"max_iters": 3},
+        }))
+        self._fails(["minimize", "--config", str(path)], f"grid {key}", capsys)
+
+    def _experiment(self, tmp_path, family, indices):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "problem": EXPERIMENT_PROBLEM, "family": family, "indices": indices,
+            "grid": {"n": 1, "points_per_dim": 4096, "box_length": 4 * math.pi},
+        }))
+        return ["harness", "--experiment", str(path)]
+
+    def test_family_j0(self, tmp_path, capsys):
+        family = {"kind": "EpsBumpTrain", "j0": 2.5, "eps": "1/4"}
+        self._fails(self._experiment(tmp_path, family, [4, 5, 6, 7]), "j0", capsys)
+
+    def test_experiment_indices(self, tmp_path, capsys):
+        family = {"kind": "EpsBumpTrain", "eps": "1/4"}
+        self._fails(self._experiment(tmp_path, family, [4, 5, 6, 7.5]), "indices", capsys)
+
+    def test_field_header(self, tmp_path, capsys):
+        """A header with n 1.5 and a 1D payload was read as a 1D field."""
+        import struct
+
+        from gnlab.fieldio import MAGIC
+
+        header = {"n": 1.5, "points_per_dim": 16, "box_length": 1.0, "domain": "physical",
+                  "dtype": "c128"}
+        blob = json.dumps(header).encode()
+        field = tmp_path / "h.gnf"
+        field.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + bytes(16 * 16))
+        self._fails(["norm", "--field", str(field), "--family", "Lebesgue"], "n", capsys)
+
+
 class TestReadmeExamples:
     def test_command_line_block_parses(self):
         """Every gnlab line of README's "Command line" block, continuations

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gnlab.fieldio import read_gnf, write_gnf
-from gnlab.norms import lp_norm
+from gnlab.norms import NormFamily, NormSpec, norm_values
 from gnlab.spectral import (
     Bessel,
     Domain,
@@ -16,12 +16,11 @@ from gnlab.spectral import (
     phi,
     psi,
     riesz_constant,
-    shell_multiplier,
     to_fourier,
     to_physical,
     transform,
 )
-from gnlab.spectral import _resample
+from gnlab.spectral import _cutoff, _resample
 from gnlab.testfuncs import gaussian, random_band_limited
 from instruments import apply_symbol, dilate, dyadic_project, lowpass_multiplier, partition_check
 from oracles import dilate_reference
@@ -93,7 +92,7 @@ class TestTransform:
         for seed in range(100):
             f = to_physical(random_band_limited(g, g.k_min, g.k_max, seed))
             hat = to_fourier(f)
-            phys = lp_norm(f, 2)
+            phys = norm_values(f, [NormSpec(NormFamily.LEBESGUE, p=2)])[0]
             four = math.sqrt(float(np.sum(np.abs(hat.data) ** 2)) / g.box_length ** g.n)
             assert phys == pytest.approx(four, rel=1e-12)
 
@@ -147,17 +146,17 @@ class TestMultipliers:
         r = g.freq_radius()
         lo, hi = g.shell_bounds
         for k in range(lo, hi + 1):  # guard shells included
-            assert np.array_equal(shell_multiplier(g, k), phi(r * 2.0 ** (-k)))
+            assert np.array_equal(_cutoff(g, k), phi(r * 2.0 ** (-k)))
         assert np.array_equal(lowpass_multiplier(g), psi(r))
 
     def test_returned_arrays_are_private(self):
         g = make_grid(2, 64, 4 * math.pi)
         r = g.freq_radius()
-        shell = shell_multiplier(g, 2)
+        shell = _cutoff(g, 2)
         low = lowpass_multiplier(g)
         shell[...] = 7.0
         low[...] = 7.0
-        assert np.array_equal(shell_multiplier(g, 2), phi(r * 0.25))
+        assert np.array_equal(_cutoff(g, 2), phi(r * 0.25))
         assert np.array_equal(lowpass_multiplier(g), psi(r))
 
 
@@ -442,7 +441,8 @@ class TestDilate:
         f = gaussian(g, 1.5)
         for m in (1, 2):
             fd = dilate(f, m, l2_normalized=True)
-            assert lp_norm(fd, 2) == pytest.approx(lp_norm(f, 2), rel=1e-6)
+            l2 = [NormSpec(NormFamily.LEBESGUE, p=2)]
+            assert norm_values(fd, l2)[0] == pytest.approx(norm_values(f, l2)[0], rel=1e-6)
 
     def test_plain_dilation_lp_law(self):
         g = make_grid(1, 4096, 60.0)
@@ -450,8 +450,9 @@ class TestDilate:
         for m in (1, 2):
             fd = dilate(f, m)
             for p in (1.0, 2.0, 4.0):
-                assert lp_norm(fd, p) == pytest.approx(
-                    2.0 ** (-m / p) * lp_norm(f, p), rel=1e-4
+                lp = [NormSpec(NormFamily.LEBESGUE, p=p)]
+                assert norm_values(fd, lp)[0] == pytest.approx(
+                    2.0 ** (-m / p) * norm_values(f, lp)[0], rel=1e-4
                 )
 
     def test_shrink_then_grow_roundtrip(self):

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gnlab.norms import lp_norm
-from gnlab.spectral import Domain, make_grid, to_fourier, to_physical
+from gnlab.norms import NormFamily, NormSpec, norm_values
+from gnlab.spectral import Domain, Field, make_grid, to_fourier, to_physical
 from gnlab.testfuncs import (
     FamilyKind,
     LacunaryFamily,
@@ -49,7 +49,8 @@ class TestBumpTrains:
         for p in (0.5, 1.0, 2.0, 5.0, math.inf):
             base = None
             for j in range(*fam.shells):
-                val = lp_norm(to_physical(dyadic_project(field, j)), p) / 2.0 ** (a * j)
+                piece = to_physical(dyadic_project(field, j))
+                val = norm_values(piece, [NormSpec(NormFamily.LEBESGUE, p=p)])[0] / 2.0 ** (a * j)
                 if base is None:
                     base = val
                 assert val == pytest.approx(base, rel=1e-6)
@@ -76,23 +77,23 @@ class TestBumpTrains:
         base = math.sqrt(phi_sq / (2 * math.pi))
         j_lo, j_hi = fam.shells
         for j in range(j_lo, j_hi + 1):
-            piece = lp_norm(to_physical(dyadic_project(field, j)), 2.0)
+            shell = to_physical(dyadic_project(field, j))
+            piece = norm_values(shell, [NormSpec(NormFamily.LEBESGUE, p=2.0)])[0]
             predicted = 2.0 ** (lam * j * (0.5 - 1.0)) * base
             assert piece == pytest.approx(predicted, rel=1e-6)
         vals = []
         for j in range(j_lo, j_hi + 1):
-            piece = lp_norm(to_physical(dyadic_project(field, j)), 1.0)
+            shell = to_physical(dyadic_project(field, j))
+            piece = norm_values(shell, [NormSpec(NormFamily.LEBESGUE, p=1.0)])[0]
             vals.append(piece)
         for v in vals[1:]:
             assert v == pytest.approx(vals[0], rel=1e-3)
 
     def test_single_bump_all_q_norms_coincide(self):
-        from gnlab.norms import NormFamily, NormSpec, besov_norm
-
         fam = LacunaryFamily(FamilyKind.SINGLE_AMPLITUDE_TRAIN, n=1, index=1, j0=4, s=F(1, 2))
         field = build_family(fam, GRID)
         vals = [
-            besov_norm(field, NormSpec(NormFamily.HOMOG_BESOV, 0.5, 2.0, q))
+            norm_values(field, [NormSpec(NormFamily.HOMOG_BESOV, 0.5, 2.0, q)])[0]
             for q in (1.0, 2.0, math.inf)
         ]
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
@@ -136,6 +137,25 @@ class TestBumpTrains:
             with pytest.raises(ValueError):
                 list(family_members(eps_train(1), GRID, counts))
 
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda kind: kind.value)
+    def test_members_recorded_complex(self, kind, monkeypatch):
+        """Every member is recorded as not real when it is built, so is_real
+        builds no Hermitian mirror for it; a plain Field of the member's data
+        still decides False."""
+        from gnlab import spectral
+
+        def no_mirror(arr):
+            raise AssertionError("Hermitian mirror rebuilt")
+
+        fam = LacunaryFamily(kind, n=1, index=1, j0=4, eps=F(1, 4), s=F(1, 2), lam=F(1, 8))
+        for grid in (make_grid(1, 2 ** 13, 32 * math.pi), make_grid(2, 128, 4 * math.pi)):
+            fam = replace(fam, n=grid.n)
+            members = list(family_members(fam, grid, (1, 2)))
+            assert [Field(grid, m.domain, m.data).is_real for m in members] == [False, False]
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_conjugate_reverse", no_mirror)
+                assert [m.is_real for m in members] == [False, False]
+
     def test_3d_train_builds(self):
         grid = make_grid(3, 128, 4 * math.pi)
         fam = LacunaryFamily(FamilyKind.EPS_BUMP_TRAIN, n=3, index=3, j0=3, eps=F(1, 4))
@@ -149,7 +169,8 @@ class TestGaussian:
         g = make_grid(2, 256, 40.0)
         w = 1.7
         f = gaussian(g, w)
-        assert lp_norm(f, 2.0) == pytest.approx((math.pi * w * w) ** 0.5, rel=1e-8)
+        l2 = norm_values(f, [NormSpec(NormFamily.LEBESGUE, p=2.0)])[0]
+        assert l2 == pytest.approx((math.pi * w * w) ** 0.5, rel=1e-8)
 
     def test_fourier_transform_is_gaussian(self):
         g = make_grid(1, 2048, 48.0)
@@ -245,7 +266,7 @@ class TestRandomBandLimited:
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.is_real = False
         with pytest.raises(AssertionError, match="mirror rebuilt"):
-            f.with_data(f.data).is_real  # a plain Field still decides exactly
+            Field(f.grid, f.domain, f.data).is_real  # a plain Field still decides exactly
 
     def test_empty_annulus_rejected(self):
         g = make_grid(1, 64, 2.0)  # lattice multiples of pi miss the sphere |xi| = 8
