@@ -752,6 +752,17 @@ class TestIntegerInputs:
         }))
         self._fails(["minimize", "--config", str(path)], f"grid {key}", capsys)
 
+    @pytest.mark.parametrize("max_iters", [2.5, True])
+    def test_minimize_max_iters(self, tmp_path, capsys, max_iters):
+        """"max_iters": true ran one iteration and exited 3."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 16.0},
+            "params": {"s": 1.0, "m2": 0.0, "beta": 0.5}, "masses": [1.0],
+            "options": {"max_iters": max_iters},
+        }))
+        self._fails(["minimize", "--config", str(path)], "options max_iters", capsys)
+
     def _experiment(self, tmp_path, family, indices):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
