@@ -316,10 +316,8 @@ def cmd_minimize(args) -> int:
         data = np.exp(-grid.coord_radius2() / (2.0 * width ** 2))
         comps = tuple(Field(grid, Domain.PHYSICAL, data) for _ in masses)
     u0 = MultiField(comps, tuple(masses))
-    options = dict(cfg.get("options", {}))
-    if "max_iters" in options:
-        options["max_iters"] = as_int(options["max_iters"], "options max_iters")
-    opts = MinimizeOptions(**options)
+    opts = MinimizeOptions(**cfg.get("options", {}))
+    as_int(opts.max_iters, "options max_iters")  # a bool or a non-integral number raises
     result = minimize(u0, params, opts)
     prefix = cfg.get("output_prefix")
     if prefix:
