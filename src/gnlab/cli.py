@@ -317,7 +317,6 @@ def cmd_minimize(args) -> int:
         comps = tuple(Field(grid, Domain.PHYSICAL, data) for _ in masses)
     u0 = MultiField(comps, tuple(masses))
     opts = MinimizeOptions(**cfg.get("options", {}))
-    as_int(opts.max_iters, "options max_iters")  # a bool or a non-integral number raises
     result = minimize(u0, params, opts)
     prefix = cfg.get("output_prefix")
     if prefix:

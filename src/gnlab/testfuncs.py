@@ -193,9 +193,9 @@ def family_members(family: LacunaryFamily, grid: Grid, counts: Sequence[int]) ->
 
 def gaussian(grid: Grid, width: float, center: Optional[Tuple[float, ...]] = None) -> Field:
     """exp(-|x - center|^2 / (2 width^2)) sampled with periodic wrapping."""
-    if width < 4.0 * grid.spacing:
+    if not width >= 4.0 * grid.spacing:  # written so that NaN fails too
         raise ValueError("width must be at least 4 grid spacings")
-    if width > grid.box_length / 8.0:
+    if not width <= grid.box_length / 8.0:
         raise ValueError("width must be at most box_length / 8")
     if center is None:
         center = (0.0,) * grid.n

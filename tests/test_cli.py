@@ -147,6 +147,14 @@ class TestFieldCommands:
         assert blobs[1] == blobs[0]
         assert blobs[2] == blobs[0]
 
+    def test_nan_width_exit_2(self, tmp_path, capsys):
+        """--width nan wrote an all-NaN field and exited 0."""
+        out = tmp_path / "g.gnf"
+        assert cli.main(["gaussian", "--n", "1", "--points", "64", "--box-length", "16",
+                         "--width", "nan", "--output", str(out)]) == 2
+        assert "width" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_os_errors_exit_2(self, tmp_path):
         """A directory where a file is expected is an IsADirectoryError, an
         OSError like a missing file."""
@@ -405,6 +413,29 @@ class TestMinimizeCommand:
         assert proc.returncode == 2, proc.stderr
         assert "window" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("options,key", [
+        ({"tol": "x"}, "options tol"), ({"tol": None}, "options tol"), ({"tol": math.nan}, "options tol"),
+        ({"tol": -1}, "options tol"),
+        ({"max_iters": 0}, "options max_iters"), ({"max_iters": -3}, "options max_iters"),
+    ])
+    def test_bad_options_exit_2_before_solving(self, tmp_path, capsys, monkeypatch, options, key):
+        """A string or null tol ran the whole solve and then exited 2, a NaN
+        or negative one never let the plateau test fire, and max_iters 0 ran
+        no iteration and exited 3."""
+        def solve(*args):
+            raise AssertionError("minimize ran")
+
+        monkeypatch.setattr(cli, "minimize", solve)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 16.0},
+            "params": {"s": 1.0, "m2": 0.0, "beta": 0.5}, "masses": [1.0], "options": options,
+        }))
+        assert cli.main(["minimize", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"gnlab: {key} must")
+        assert captured.out == ""
 
 
     def test_exact_rational_params(self, tmp_path):

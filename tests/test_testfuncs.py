@@ -197,6 +197,12 @@ class TestGaussian:
         with pytest.raises(ValueError):
             gaussian(g, 3.0)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_nonfinite_width_rejected(self, width):
+        """A NaN width passed both range checks and gave an all-NaN field."""
+        with pytest.raises(ValueError, match="width"):
+            gaussian(make_grid(1, 256, 16.0), width)
+
 
 class TestRandomBandLimited:
     def test_deterministic_in_seed(self):

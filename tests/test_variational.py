@@ -12,6 +12,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from instruments import dilate, g_conditions_check
 from oracles import lattice_riesz_kernel, pair_interaction_general, pair_interaction_product_density
 
+from gnlab import variational
 from gnlab.norms import NormFamily, NormSpec, norm_values
 from gnlab.spectral import Domain, Field, make_grid, riesz_constant
 from gnlab.testfuncs import gaussian, positive_random_field
@@ -331,11 +332,28 @@ class TestPinnedOutputs:
 
         return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
 
+    # Schwarz steps tried in test_short_minimize: the step runs until it is
+    # first rejected, at iteration 1 from the Gaussian, and at iteration 2
+    # from the random start, where iteration 1 keeps it
+    REARRANGES = {"gaussian": 1, "random": 2}
+
+    @staticmethod
+    def start_field(grid, start):
+        return gaussian(grid, 2.0) if start == "gaussian" else positive_random_field(grid, 101)
+
     @pytest.mark.parametrize("start", ["gaussian", "random"])
-    def test_short_minimize(self, start):
+    def test_short_minimize(self, start, monkeypatch):
+        calls = []
+        rearrange = variational._rearrange
+
+        def counted(*args):
+            calls.append(args)
+            return rearrange(*args)
+
+        monkeypatch.setattr(variational, "_rearrange", counted)
         grid = make_grid(3, 32, 16.0)
         params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
-        f = gaussian(grid, 2.0) if start == "gaussian" else positive_random_field(grid, 101)
+        f = self.start_field(grid, start)
         res = minimize(MultiField((f,), (1.0,)), params, MinimizeOptions(max_iters=12, tol=1e-10))
         got = (
             res.iterations,
@@ -345,6 +363,28 @@ class TestPinnedOutputs:
             self.digest(res.u_final.arrays()[0]),
         )
         assert got == self.MINIMIZE[start]
+        assert len(calls) == self.REARRANGES[start]
+
+    # whole solves to the plateau: (max_iters, iterations, final energy,
+    # sha256 of u_final), identical whether or not the Schwarz step is still
+    # tried after its first rejection
+    FULL_MINIMIZE = {
+        "gaussian": (400, 60, "-0x1.73c9f205df1d4p-5",
+                     "6165c71e123415b07ec16c87e17e1f9f079f69d9ff6847bd9d4c8c79500c8cef"),
+        "random": (600, 230, "-0x1.73c9f205dfa2cp-5",
+                   "9843c0c7acb3a873e7db353672c18a719210813b355245ec6115eb6e5c9628f8"),
+    }
+
+    @pytest.mark.parametrize("start", ["gaussian", "random"])
+    def test_full_minimize(self, start):
+        max_iters, *pinned = self.FULL_MINIMIZE[start]
+        grid = make_grid(3, 32, 16.0)
+        params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
+        u0 = MultiField((self.start_field(grid, start),), (1.0,))
+        res = minimize(u0, params, MinimizeOptions(max_iters=max_iters, tol=1e-10))
+        assert res.converged and res.message == "energy plateau"
+        got = [res.iterations, res.energy_trace[-1].hex(), self.digest(res.u_final.arrays()[0])]
+        assert got == pinned
 
     @pytest.mark.parametrize("n,m,box", list(KERNEL))
     def test_kernel_outputs(self, n, m, box):
@@ -483,6 +523,29 @@ class TestMinimize:
         comp = positive_random_field(grid, 1)
         with pytest.raises(ValueError, match="positive and finite"):
             MultiField((comp, comp), (1.0, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_components_must_be_finite(self, bad):
+        """A NaN component passed the nonnegativity check, whose comparison
+        is false for NaN."""
+        grid = make_grid(1, 64, 8.0)
+        data = positive_random_field(grid, 1).data.real.copy()
+        data[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MultiField((Field(grid, Domain.PHYSICAL, data),), (1.0,))
+
+    @pytest.mark.parametrize("kwargs,key", [
+        ({"max_iters": 0}, "max_iters"), ({"max_iters": -3}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": True}, "max_iters"), ({"tol": "x"}, "tol"), ({"tol": None}, "tol"),
+        ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": False}, "tol"),
+    ])
+    def test_options_checked(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"options {key}"):
+            MinimizeOptions(**kwargs)
+
+    def test_options_read_exactly(self):
+        opts = MinimizeOptions(max_iters=5.0, tol=0)
+        assert (type(opts.max_iters), opts.max_iters, type(opts.tol), opts.tol) == (int, 5, float, 0.0)
 
     def test_nan_detected(self):
         grid = make_grid(1, 64, 8.0)
