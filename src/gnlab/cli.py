@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
-import inspect
 import json
 import math
 import os
@@ -22,8 +20,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-
-import gnlab
 
 from . import checker, fieldio
 from .checker import GNProblem, check_by_rule, auto_check
@@ -349,56 +345,26 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def _cstar_cache_path(n: int, beta, grid: Grid) -> Path:
-    """The key covers the problem, the settings cstar_cached runs the
-    estimator with (its defaults) and the package version, so an entry
-    written under other settings or by another release is a miss.  beta is
-    keyed exactly, so 2.2 and 11/5 share one entry."""
-    cache_dir = Path(os.environ.get("GNLAB_CACHE_DIR", Path.home() / ".cache" / "gnlab"))
-    defaults = inspect.signature(estimate_cstar).parameters
-    settings = f"{defaults['max_iters'].default}|{tuple(defaults['seeds'].default)}"
-    key = (
-        f"{n}|{format_rational(as_exact(beta))}|{grid.points_per_dim}|{grid.box_length:.17g}"
-        f"|{settings}|{gnlab.__version__}"
-    )
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return cache_dir / f"cstar-{digest}.json"
-
-
-def cstar_cached(n: int, beta, grid: Grid) -> float:
-    """Cached estimate; an unreadable entry, or one without a finite value,
-    is a miss and is rewritten."""
-    path = _cstar_cache_path(n, beta, grid)
-    try:
-        with open(path) as fh:
-            value = float(json.load(fh)["value"])
-    except (OSError, ValueError, KeyError, TypeError):
-        value = math.nan
-    if math.isfinite(value):
-        return value
-    est = estimate_cstar(n, float(beta), grid)
-    _write(path, canonical_json({"value": est.value}) + "\n")
-    return est.value
-
-
 def cmd_cstar(args) -> int:
     grid = make_grid(args.n, args.points, args.box_length)
-    if args.no_cache:
-        value = estimate_cstar(args.n, float(args.beta), grid).value
-    else:
-        value = cstar_cached(args.n, args.beta, grid)
+    value = estimate_cstar(args.n, float(args.beta), grid).value
     emit(args, {"n": args.n, "beta": args.beta, "cstar": value,
                 "grid": {"points_per_dim": args.points, "box_length": args.box_length}})
     return EXIT_OK
 
 
 def cmd_regimes(args) -> int:
-    if args.cstar == "auto":
-        grid = make_grid(args.n, args.points, args.box_length)
-        cstar = cstar_cached(args.n, args.beta, grid)
-    else:
-        cstar = _parse_real(args.cstar)
-    report = regime_classify(args.n, args.beta, args.s, args.m2, args.c, cstar, _parse_g(args.g))
+    """--cstar auto estimates C* only for a verdict that reads it: the case
+    analysis runs with a placeholder, and again with the estimate only when
+    its report carries a critical mass.  Otherwise "cstar" is null."""
+    auto = args.cstar == "auto"
+    grid = make_grid(args.n, args.points, args.box_length) if auto else None
+    cstar = None if auto else _parse_real(args.cstar)
+    G = _parse_g(args.g)
+    report = regime_classify(args.n, args.beta, args.s, args.m2, args.c, 1.0 if auto else cstar, G)
+    if auto and report.critical_mass is not None:
+        cstar = estimate_cstar(args.n, float(args.beta), grid).value
+        report = regime_classify(args.n, args.beta, args.s, args.m2, args.c, cstar, G)
     payload = report.to_json_dict()
     payload["cstar"] = cstar
     emit(args, payload)
@@ -474,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cstar", help="estimate the sharp interaction constant")
     _add_grid_flags(c)
     c.add_argument("--beta", type=RATIONAL_ARG, required=True)
-    c.add_argument("--no-cache", action="store_true")
     c.add_argument("--output")
     c.set_defaults(fn=cmd_cstar)
 

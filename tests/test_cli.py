@@ -1,9 +1,9 @@
 """CLI surface: subcommands, exit codes, byte-reproducible JSON, GNF1 I/O."""
 import json
 import math
-import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -11,19 +11,13 @@ from gnlab import cli
 from gnlab.fieldio import read_gnf
 
 
-def run_cli(args, tmp_path, env_extra=None):
-    env = dict(os.environ)
-    env["GNLAB_CACHE_DIR"] = str(tmp_path / "cache")
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
+def run_cli(args):
+    return subprocess.run(
         [sys.executable, "-m", "gnlab.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=600,
     )
-    return proc
 
 
 PROBLEM = {
@@ -40,7 +34,7 @@ class TestCheck:
     def test_verdict_on_stdout(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(PROBLEM))
-        proc = run_cli(["check", "--rule", "besov", "--problem", str(path)], tmp_path)
+        proc = run_cli(["check", "--rule", "besov", "--problem", str(path)])
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["status"] == "Holds"
@@ -49,7 +43,7 @@ class TestCheck:
     def test_auto_rule(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(PROBLEM))
-        proc = run_cli(["check", "--problem", str(path)], tmp_path)
+        proc = run_cli(["check", "--problem", str(path)])
         assert proc.returncode == 0
 
     def test_malformed_problem_exit_2(self, tmp_path):
@@ -57,7 +51,7 @@ class TestCheck:
         bad = dict(PROBLEM)
         bad["surprise"] = 1
         path.write_text(json.dumps(bad))
-        proc = run_cli(["check", "--problem", str(path)], tmp_path)
+        proc = run_cli(["check", "--problem", str(path)])
         assert proc.returncode == 2
         assert "surprise" in proc.stderr
 
@@ -66,8 +60,8 @@ class TestCheck:
         path.write_text(json.dumps(PROBLEM))
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
-        assert run_cli(["check", "--problem", str(path), "--output", str(out1)], tmp_path).returncode == 0
-        assert run_cli(["check", "--problem", str(path), "--output", str(out2)], tmp_path).returncode == 0
+        assert run_cli(["check", "--problem", str(path), "--output", str(out1)]).returncode == 0
+        assert run_cli(["check", "--problem", str(path), "--output", str(out2)]).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -78,7 +72,6 @@ class TestFieldCommands:
             ["family", "--kind", "EpsBumpTrain", "--n", "1", "--points", "4096",
              "--box-length", str(4 * math.pi), "--index", "5", "--j0", "2",
              "--params", '{"eps": "1/4"}', "--output", str(field)],
-            tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         f = read_gnf(field)
@@ -86,7 +79,6 @@ class TestFieldCommands:
         proc = run_cli(
             ["norm", "--field", str(field), "--family", "HomogBesov",
              "--s", "1/2", "--p", "2", "--q", "2"],
-            tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
@@ -98,21 +90,18 @@ class TestFieldCommands:
         proc = run_cli(
             ["gaussian", "--n", "1", "--points", "512", "--box-length", "40",
              "--width", "1.5", "--output", str(g1)],
-            tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         r1 = tmp_path / "r.gnf"
         proc = run_cli(
             ["random", "--n", "1", "--points", "512", "--box-length", str(4 * math.pi),
              "--k-lo", "2", "--k-hi", "4", "--seed", "7", "--output", str(r1)],
-            tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         r2 = tmp_path / "r2.gnf"
         run_cli(
             ["random", "--n", "1", "--points", "512", "--box-length", str(4 * math.pi),
              "--k-lo", "2", "--k-hi", "4", "--seed", "7", "--output", str(r2)],
-            tmp_path,
         )
         assert r1.read_bytes() == r2.read_bytes()
 
@@ -129,7 +118,7 @@ class TestFieldCommands:
         if header_bytes is not None:
             field.write_bytes(field.read_bytes()[:header_bytes])
         proc = run_cli(
-            ["norm", "--field", str(field), "--family", family, "--q", q], tmp_path
+            ["norm", "--field", str(field), "--family", family, "--q", q]
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -161,11 +150,10 @@ class TestFieldCommands:
         proc = run_cli(
             ["gaussian", "--n", "1", "--points", "512", "--box-length", "40",
              "--width", "1.5", "--output", str(tmp_path)],
-            tmp_path,
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        proc = run_cli(["norm", "--field", str(tmp_path), "--family", "HomogBesov"], tmp_path)
+        proc = run_cli(["norm", "--field", str(tmp_path), "--family", "HomogBesov"])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -182,7 +170,7 @@ class TestFieldCommands:
         docs = []
         for value in ("1e400", "inf"):
             proc = run_cli(["norm", "--field", str(field), "--family", "HomogBesov",
-                            flag, value], tmp_path)
+                            flag, value])
             assert proc.returncode == 0, proc.stderr
             docs.append(proc.stdout)
         assert docs[0] == docs[1]
@@ -195,7 +183,7 @@ class TestFieldCommands:
         field = tmp_path / "g.gnf"
         write_gnf(field, gaussian(make_grid(1, 512, 40.0), 1.5))
         proc = run_cli(["norm", "--field", str(field), "--family", "HomogBesov",
-                        "--p", "1" + "0" * 400 + "/3"], tmp_path)
+                        "--p", "1" + "0" * 400 + "/3"])
         assert proc.returncode == 2, proc.stderr
         assert "too large for a float" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -207,7 +195,7 @@ class TestFieldCommands:
 
         field = tmp_path / "h.gnf"
         field.write_bytes(MAGIC + struct.pack("<I", 6) + b"[1, 2]")
-        proc = run_cli(["norm", "--field", str(field), "--family", "Lebesgue"], tmp_path)
+        proc = run_cli(["norm", "--field", str(field), "--family", "Lebesgue"])
         assert proc.returncode == 2, proc.stderr
         assert "header is not a JSON object" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -222,7 +210,6 @@ class TestFieldCommands:
         proc = run_cli(
             ["norm", "--field", str(field), "--family", "BesselSobolev", "--s", "1",
              "--m2", "nan"],
-            tmp_path,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -239,7 +226,7 @@ class TestFieldCommands:
         docs = []
         for m2 in ("1/2", "0.5"):
             proc = run_cli(["norm", "--field", str(field), "--family", "BesselSobolev",
-                            "--s", "1/2", "--m2", m2], tmp_path)
+                            "--s", "1/2", "--m2", m2])
             assert proc.returncode == 0, proc.stderr
             docs.append(json.loads(proc.stdout))
         assert docs[0] == docs[1]
@@ -250,7 +237,6 @@ class TestFieldCommands:
             ["family", "--kind", "EpsBumpTrain", "--n", "1", "--points", "256",
              "--box-length", str(4 * math.pi), "--index", "40", "--output",
              str(tmp_path / "x.gnf")],
-            tmp_path,
         )
         assert proc.returncode == 2
         assert "admissible count" in proc.stderr
@@ -291,7 +277,6 @@ class TestHarnessCommand:
         proc = run_cli(
             ["harness", "--suite", "regression", "--checks-only",
              "--output", str(out), "--summary", str(summ)],
-            tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().strip().splitlines()
@@ -334,7 +319,7 @@ class TestExperimentCommand:
         out = tmp_path / "exp.csv"
         summ = tmp_path / "exp-summary.json"
         proc = run_cli(["harness", "--experiment", str(path), "--output", str(out),
-                        "--summary", str(summ)], tmp_path)
+                        "--summary", str(summ)])
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "index,target_norm,source0_norm,source1_norm,ratio"
@@ -383,7 +368,7 @@ class TestMinimizeCommand:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        proc = run_cli(["minimize", "--config", str(path)])
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["final_energy"] < 0
@@ -395,7 +380,7 @@ class TestMinimizeCommand:
     def test_unknown_config_keys_exit_2(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": {}, "params": {}, "masses": [], "bogus": 1}))
-        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        proc = run_cli(["minimize", "--config", str(path)])
         assert proc.returncode == 2
 
     def test_removed_option_key_exit_2(self, tmp_path):
@@ -409,7 +394,7 @@ class TestMinimizeCommand:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        proc = run_cli(["minimize", "--config", str(path)])
         assert proc.returncode == 2, proc.stderr
         assert "window" in proc.stderr
         assert proc.stdout == ""
@@ -451,7 +436,7 @@ class TestMinimizeCommand:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        proc = run_cli(["minimize", "--config", str(path)])
         assert proc.returncode in (0, 3), proc.stderr
         assert json.loads(proc.stdout)["regime"]["case"] == "critical-massless"
 
@@ -469,7 +454,7 @@ class TestMinimizeCommand:
                 "options": {"max_iters": 3},
                 "cstar": float(cstar) if cstar == "Infinity" else cstar,
             }))
-            proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+            proc = run_cli(["minimize", "--config", str(path)])
             assert proc.returncode in (0, 3), proc.stderr
             regimes[cstar] = json.loads(proc.stdout)["regime"]
         assert regimes["1/2"] == regimes[0.5]
@@ -491,7 +476,7 @@ class TestMinimizeCommand:
                 "options": {"max_iters": 3},
                 "cstar": 1.0,
             }))
-            proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+            proc = run_cli(["minimize", "--config", str(path)])
             assert proc.returncode in (0, 3), proc.stderr
             docs.append(json.loads(proc.stdout))
         assert docs[0] == docs[1]
@@ -511,7 +496,7 @@ class TestMinimizeCommand:
                             '{"kind": "EpsBumpTrain", "eps": "1/4"}, "problem": %s}'
                             % (grid, json.dumps(EXPERIMENT_PROBLEM)))
             args = ["harness", "--experiment", str(path)]
-        proc = run_cli(args, tmp_path)
+        proc = run_cli(args)
         assert proc.returncode == 2, proc.stderr
         assert "box_length must be positive and finite" in proc.stderr
         assert proc.stdout == ""
@@ -525,7 +510,7 @@ class TestMinimizeCommand:
             "params": {"s": "1e400", "m2": 0, "beta": "1/2"},
             "masses": [1.0],
         }))
-        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        proc = run_cli(["minimize", "--config", str(path)])
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("gnlab: ")
         assert "Traceback" not in proc.stderr
@@ -540,42 +525,39 @@ class TestMinimizeCommand:
             '{"grid": {"n": 1, "points_per_dim": 64, "box_length": 16.0}, '
             '"params": {"s": 1, "m2": 0, "beta": 0.5}, "masses": [%s]}' % bad
         )
-        proc = run_cli(["minimize", "--config", str(path)], tmp_path)
+        proc = run_cli(["minimize", "--config", str(path)])
         assert proc.returncode == 2, proc.stderr
         assert "positive and finite" in proc.stderr
         assert proc.stdout == ""
 
 
 class TestRegimesCommand:
-    def test_supercritical_report(self, tmp_path):
+    def test_supercritical_report(self):
         proc = run_cli(
             ["regimes", "--n", "3", "--beta", "2", "--s", "1", "--m2", "0",
              "--c", "1", "--cstar", "1.0"],
-            tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["regime"] == "MinimizerExists"
 
-    def test_exact_rationals(self, tmp_path):
+    def test_exact_rationals(self):
         """n=3, beta=11/5, s=2/5 is critical; the flags take "a/b"."""
         proc = run_cli(
             ["regimes", "--n", "3", "--beta", "11/5", "--s", "2/5", "--m2", "0",
              "--c", "1", "--cstar", "1"],
-            tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["case"] == "critical-massless"
         assert doc["regime"] == "MinusInfinity"  # c = 1 > 1/(2 cstar)
 
-    def test_rational_cstar(self, tmp_path):
+    def test_rational_cstar(self):
         docs = []
         for cstar in ("1/2", "0.5"):
             proc = run_cli(
                 ["regimes", "--n", "3", "--beta", "1", "--s", "1", "--m2", "0",
                  "--c", "1", "--cstar", cstar],
-                tmp_path,
             )
             assert proc.returncode == 0, proc.stderr
             docs.append(json.loads(proc.stdout))
@@ -584,13 +566,12 @@ class TestRegimesCommand:
         assert docs[0]["critical_mass"] == 1.0
 
     @pytest.mark.parametrize("cstar", ["nan", "inf", "1e400"])
-    def test_nonfinite_cstar_out_of_scope(self, tmp_path, cstar):
+    def test_nonfinite_cstar_out_of_scope(self, cstar):
         """cstar = nan used to read as NoMinimizer with a NaN critical mass,
         cstar = inf as MinusInfinity with critical mass 0."""
         proc = run_cli(
             ["regimes", "--n", "3", "--beta", "1", "--s", "1", "--m2", "0",
              "--c", "1", "--cstar", cstar],
-            tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
@@ -599,13 +580,12 @@ class TestRegimesCommand:
         assert doc["critical_mass"] is None
 
     @pytest.mark.parametrize("c", ["1e400", "nan"])
-    def test_nonfinite_c_out_of_scope(self, tmp_path, c):
+    def test_nonfinite_c_out_of_scope(self, c):
         """--c is read as a real: 1e400 was an OverflowError traceback (exit 1)
         and nan a parse error (exit 2)."""
         proc = run_cli(
             ["regimes", "--n", "3", "--beta", "1", "--s", "1", "--m2", "0",
              "--c", c, "--cstar", "1"],
-            tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
@@ -613,116 +593,110 @@ class TestRegimesCommand:
         assert doc["critical_mass"] is None
 
     @pytest.mark.parametrize("g", ["sum_powers:1e400", "product_powers:1e400,1", "sum_powers:nan"])
-    def test_nonfinite_exponent_exits_2(self, tmp_path, g):
+    def test_nonfinite_exponent_exits_2(self, g):
         """An exponent too large for a float was an OverflowError traceback, exit 1."""
         proc = run_cli(
             ["regimes", "--n", "3", "--beta", "1", "--s", "1", "--m2", "0",
              "--c", "1", "--cstar", "1", "--g", g],
-            tmp_path,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("gnlab: ")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cstar_auto_uses_cache(self, tmp_path):
-        args = ["regimes", "--n", "3", "--beta", "2", "--s", "1", "--m2", "0",
-                "--c", "1", "--cstar", "auto", "--points", "16", "--box-length", "12"]
-        proc1 = run_cli(args, tmp_path)
-        assert proc1.returncode == 0, proc1.stderr
-        cache_files = list((tmp_path / "cache").glob("cstar-*.json"))
-        assert len(cache_files) == 1
-        proc2 = run_cli(args, tmp_path)
-        assert proc2.stdout == proc1.stdout
+    def test_auto_critical_matches_cstar_command(self):
+        """--cstar auto on a critical case prints the estimate that `gnlab
+        cstar` prints for the same grid, and the critical mass 1/(2 cstar)."""
+        grid = ["--points", "16", "--box-length", "12"]
+        proc = run_cli(["regimes", "--n", "3", "--beta", "1", "--s", "1", "--m2", "0",
+                        "--c", "1", "--cstar", "auto", *grid])
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        est = run_cli(["cstar", "--n", "3", "--beta", "1", *grid])
+        assert est.returncode == 0, est.stderr
+        assert doc["case"] == "critical-massless"
+        assert doc["cstar"] == json.loads(est.stdout)["cstar"]
+        assert doc["critical_mass"] == 1 / (2 * doc["cstar"])
+
+    @pytest.mark.parametrize("beta, regime, note", [
+        ("5", "OutOfScope", "beta outside (0, n)"),
+        ("2", "MinimizerExists", ""),
+    ], ids=["beta-out-of-range", "supercritical"])
+    def test_auto_estimates_only_for_a_critical_verdict(self, monkeypatch, capsys, beta, regime, note):
+        """A verdict without a critical mass reads no C*: auto estimated it
+        anyway, and beta = 5 exited 2 where --cstar 1 gave OutOfScope."""
+        def estimate(*args, **kwargs):
+            raise AssertionError("estimated C* for a verdict that does not read it")
+
+        monkeypatch.setattr(cli, "estimate_cstar", estimate)
+        assert cli.main(["regimes", "--n", "3", "--beta", beta, "--s", "1", "--m2", "0",
+                         "--c", "1", "--cstar", "auto"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["regime"], doc["note"]) == (regime, note)
+        assert doc["cstar"] is None
+        assert doc["critical_mass"] is None
+
+
+def _estimate_stub(calls):
+    """A stand-in for cli.estimate_cstar that records (n, beta) and
+    estimates 0.5."""
+    def estimate(n, beta, grid):
+        calls.append((n, beta))
+        return types.SimpleNamespace(value=0.5)
+    return estimate
 
 
 class TestCStarCommand:
-    def test_reports_value(self, tmp_path):
+    def test_reports_value(self):
         proc = run_cli(
             ["cstar", "--n", "3", "--beta", "2", "--points", "16",
-             "--box-length", "12", "--no-cache"],
-            tmp_path,
+             "--box-length", "12"],
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["cstar"] > 0
 
 
-    def test_beta_too_large_exit_2(self, tmp_path):
+    def test_beta_too_large_exit_2(self):
         """--beta 1e400 is exact but has no float; it was an OverflowError
         traceback, exit 1."""
         proc = run_cli(["cstar", "--n", "3", "--beta", "1e400", "--points", "16",
-                        "--box-length", "12", "--no-cache"], tmp_path)
+                        "--box-length", "12"])
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("gnlab: ")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("damaged", ['{"val', '{"value": NaN}\n', "[]\n"])
-    def test_damaged_cache_entry_is_a_miss(self, tmp_path, monkeypatch, damaged):
-        from gnlab.spectral import make_grid
-
-        monkeypatch.setenv("GNLAB_CACHE_DIR", str(tmp_path / "cache"))
-        path = cli._cstar_cache_path(3, 2.0, make_grid(3, 16, 12.0))
-        path.parent.mkdir(parents=True)
-        path.write_text(damaged)
-        args = ["cstar", "--n", "3", "--beta", "2", "--points", "16", "--box-length", "12"]
-        proc = run_cli(args, tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        value = json.loads(proc.stdout)["cstar"]
-        assert value > 0
-        assert json.loads(path.read_text()) == {"value": value}
-        again = run_cli(args, tmp_path)
-        assert again.stdout == proc.stdout
-
-
-    def test_cache_path_keyed_on_version(self, tmp_path, monkeypatch):
-        import gnlab
-        from gnlab.spectral import make_grid
-
-        monkeypatch.setenv("GNLAB_CACHE_DIR", str(tmp_path / "cache"))
-        grid = make_grid(3, 16, 12.0)
-        before = cli._cstar_cache_path(3, 2.0, grid)
-        assert cli._cstar_cache_path(3, 2.0, grid) == before
-        monkeypatch.setattr(gnlab, "__version__", gnlab.__version__ + ".post1")
-        assert cli._cstar_cache_path(3, 2.0, grid) != before
-
-    def test_cache_path_keyed_on_exact_beta(self, tmp_path, monkeypatch):
-        """2.2 and 11/5 are one beta, so they share one cache entry."""
-        from fractions import Fraction
-
-        from gnlab.spectral import make_grid
-
-        monkeypatch.setenv("GNLAB_CACHE_DIR", str(tmp_path / "cache"))
-        grid = make_grid(3, 16, 12.0)
-        path = cli._cstar_cache_path(3, 2.2, grid)
-        assert cli._cstar_cache_path(3, Fraction(11, 5), grid) == path
-        assert cli._cstar_cache_path(3, 2.0, grid) != path
-        path.parent.mkdir(parents=True)
-        path.write_text('{"value": 0.5}\n')
+    def test_decimal_beta_read_exactly(self, monkeypatch, capsys):
+        """2.2 and 11/5 are one beta: both print "11/5" and estimate the
+        same problem."""
+        calls = []
+        monkeypatch.setattr(cli, "estimate_cstar", _estimate_stub(calls))
         for beta in ("2.2", "11/5"):
-            proc = run_cli(["cstar", "--n", "3", "--beta", beta, "--points", "16",
-                            "--box-length", "12"], tmp_path)
-            assert proc.returncode == 0, proc.stderr
-            doc = json.loads(proc.stdout)
+            assert cli.main(["cstar", "--n", "3", "--beta", beta, "--points", "16",
+                             "--box-length", "12"]) == 0
+            doc = json.loads(capsys.readouterr().out)
             assert doc["cstar"] == 0.5
             assert doc["beta"] == "11/5"
+        assert calls == [(3, 2.2), (3, 2.2)]
 
-    def test_beta_printed_exactly(self, tmp_path, monkeypatch):
+    def test_beta_printed_exactly(self, monkeypatch, capsys):
         """--beta 1/3 was printed as the float 0.33333333333333331."""
-        from fractions import Fraction
+        monkeypatch.setattr(cli, "estimate_cstar", _estimate_stub([]))
+        assert cli.main(["cstar", "--n", "3", "--beta", "1/3", "--points", "16",
+                         "--box-length", "12"]) == 0
+        out = capsys.readouterr().out
+        assert '"beta": "1/3"' in out
+        assert json.loads(out)["cstar"] == 0.5
 
-        from gnlab.spectral import make_grid
-
-        monkeypatch.setenv("GNLAB_CACHE_DIR", str(tmp_path / "cache"))
-        path = cli._cstar_cache_path(3, Fraction(1, 3), make_grid(3, 16, 12.0))
-        path.parent.mkdir(parents=True)
-        path.write_text('{"value": 0.5}\n')
-        proc = run_cli(["cstar", "--n", "3", "--beta", "1/3", "--points", "16",
-                        "--box-length", "12"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert '"beta": "1/3"' in proc.stdout
-        assert json.loads(proc.stdout)["cstar"] == 0.5
+    def test_no_cache_flag_is_gone(self, capsys):
+        """cstar has no file cache, so argparse rejects --no-cache (exit 2)
+        rather than taking it as a no-op."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cstar", "--n", "3", "--beta", "2", "--points", "16",
+                      "--box-length", "12", "--no-cache"])
+        assert exc.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err
 
 
 class TestOutputPaths:
@@ -737,7 +711,7 @@ class TestOutputPaths:
         monkeypatch.setattr(cli, "run_regression", self._no_work)
         args = {
             "--output": ["cstar", "--n", "3", "--beta", "2", "--points", "16",
-                         "--box-length", "12", "--no-cache"],
+                         "--box-length", "12"],
             "--summary": ["harness", "--suite", "regression", "--checks-only"],
         }[flag]
         assert cli.main(args + [flag, str(tmp_path)]) == 2
@@ -748,7 +722,7 @@ class TestOutputPaths:
         blocker.write_text("")
         out = blocker / "sub" / "out.json"
         assert cli.main(["cstar", "--n", "3", "--beta", "2", "--points", "16",
-                         "--box-length", "12", "--no-cache", "--output", str(out)]) == 2
+                         "--box-length", "12", "--output", str(out)]) == 2
 
 
 class TestIntegerInputs:

@@ -164,10 +164,31 @@ def test_no_function_level_imports():
 
 
 def test_version_matches_pyproject():
-    """The C* cache keys on gnlab.__version__, so it must move with the
-    release number in pyproject.toml."""
+    """gnlab.__version__ is the release number in pyproject.toml, so an
+    installed package and a source checkout report the same release."""
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == gnlab.__version__
+
+
+def test_no_hidden_settings_or_home_writes():
+    """No module of gnlab reads os.environ, calls os.getenv or calls
+    Path.home: every setting is a flag or a config key, and a command writes
+    only its own outputs."""
+    def offends(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "environ" and getattr(node.value, "id", None) == "os") or (
+                node.attr in ("getenv", "home"))
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "os" and any(a.name in ("environ", "getenv") for a in node.names)
+        return False
+
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if offends(node)
+    ]
+    assert offenders == []
 
 
 def test_transforms_only_in_spectral():
