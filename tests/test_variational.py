@@ -324,6 +324,8 @@ class TestPinnedOutputs:
                         "cc99a9a2e38f54616ae6d4eca83e61335b0a3304b0364b28a0b6e69d4b6f9575"),
         (3, 16, 8.0): ("5991e211df6b6bbc851aae1fcd94f63d9208c4eb7e887504f5279510bd626b96",
                        "f062a130f464ac63c873bec741168385d6ae1596ede81ab2888e8e5b088af78b"),
+        (3, 64, 20.0): ("b600a7c995fee564ff0c226137b21a0d5b590e5ebc9f3dcb7f4c4acb1f711bdc",
+                        "c144b8acfe340838497cdb271d31e0f13868892ca802e301b9ae90d03c180694"),
     }
 
     @staticmethod
@@ -364,6 +366,31 @@ class TestPinnedOutputs:
         )
         assert got == self.MINIMIZE[start]
         assert len(calls) == self.REARRANGES[start]
+
+    # c08's problem on 64^3 from the Gaussian, six iterations: the grid from
+    # which spectral pairs independent transforms on two threads
+    MINIMIZE_64 = (
+        6,
+        ["-0x1.29db65ae284fap-4", "-0x1.390ee208058e0p-4", "-0x1.3c6a18a71b56cp-4",
+         "-0x1.3d9eaa93fdd74p-4", "-0x1.3e45c27c9dcd2p-4", "-0x1.3eb1177a4b33ap-4",
+         "-0x1.3ef9147180cb8p-4"],
+        ["0x1.6c988fabbad35p-1"],
+        "0x1.68dcd0358953ap-7",
+        "db9f268b7c137e939be5c7de92b0021beffc6c48044605ffec7501da8a46e583",
+    )
+
+    def test_short_minimize_64(self):
+        grid = make_grid(3, 64, 20.0)
+        params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
+        res = minimize(MultiField((gaussian(grid, 2.0),), (1.0,)), params, MinimizeOptions(max_iters=6, tol=1e-10))
+        got = (
+            res.iterations,
+            [e.hex() for e in res.energy_trace],
+            [m.hex() for m in res.multipliers],
+            res.el_residual.hex(),
+            self.digest(res.u_final.arrays()[0]),
+        )
+        assert got == self.MINIMIZE_64
 
     # whole solves to the plateau: (max_iters, iterations, final energy,
     # sha256 of u_final), identical whether or not the Schwarz step is still
