@@ -271,7 +271,7 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
                     mag = np.abs(field.data)
                 else:
                     if key is _IDENTITY:
-                        piece = data
+                        piece = data.copy() if real else data  # the real inverse consumes its input
                     elif key is None or isinstance(key, int):
                         piece = data * _cutoff(grid, key, half=real)
                     else:

@@ -19,7 +19,10 @@ bumps fall in exactly one shell.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
@@ -209,14 +212,99 @@ def _irfftn(grid: Grid, half: np.ndarray, out: Optional[np.ndarray] = None) -> n
     """ifftn of a Hermitian spectrum given on its half lattice [..., :m//2 + 1],
     into out (real, grid.shape) when given.  The passes and their order are
     numpy's irfftn (ifft on axes 0 .. n-2, then irfft on the last axis), with
-    the same bits, but only the first pass allocates: it writes a work
-    array, the others run in place on it, and irfft writes into out.  half
-    is never written to."""
-    if grid.n > 1:
-        half = np.fft.ifft(half, axis=0)
-        for axis in range(1, grid.n - 1):
-            np.fft.ifft(half, axis=axis, out=half)
+    the same bits, but no pass allocates: each ifft runs in place on half,
+    and irfft writes into out.  So half is consumed: it must be writable,
+    and it holds a partial transform afterwards."""
+    for axis in range(grid.n - 1):
+        np.fft.ifft(half, axis=axis, out=half)
     return np.fft.irfft(half, n=grid.points_per_dim, axis=-1, out=out)
+
+
+# ---------------------------------------------------------------------------
+# paired transforms
+
+
+PAIR_POINTS = 2 ** 18  # grids from this many points run _both's halves on two threads
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Worker:
+    """One daemon thread that runs the jobs handed to it one at a time, each
+    in a copy of the handing thread's context, so numpy's errstate (a
+    context variable) holds there as it does in the caller."""
+
+    def __init__(self):
+        self._ready = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._job = self._outcome = None
+        threading.Thread(target=self._serve, name="gnlab-spectral", daemon=True).start()
+
+    def _serve(self) -> None:
+        # No local names the job: a job's closure holds its solve's arrays,
+        # which would stay alive here until the next job.
+        while True:
+            self._ready.acquire()
+            try:
+                self._outcome = (self._job[0].run(self._job[1]), None)
+            except BaseException as exc:  # raised in the caller by _both
+                self._outcome = (None, exc)
+            self._done.release()
+
+    def submit(self, fn) -> None:
+        self._job = (contextvars.copy_context(), fn)
+        self._ready.release()
+
+    def wait(self):
+        """Wait for the submitted job: (its value, None), or (None, what it raised)."""
+        self._done.acquire()
+        outcome, self._job, self._outcome = self._outcome, None, None
+        return outcome
+
+
+_worker: Optional[_Worker] = None
+_worker_free = threading.Lock()  # held while a _both call uses the worker
+
+
+def _drop_worker() -> None:
+    """In a forked child: the worker thread was not copied, so forget it
+    (and a hold on it), and the child's first paired call starts its own."""
+    global _worker, _worker_free
+    _worker, _worker_free = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _both(grid: Grid, first, second):
+    """(first(), second()) for two independent jobs with no arguments.  On a
+    grid of PAIR_POINTS points or more, in a process that may use two CPUs,
+    second runs on the worker thread while the caller runs first; otherwise,
+    or while another thread is using the worker, they run one after the
+    other.  The jobs share no array, so their results are the same bits
+    either way, and an exception comes from first before second."""
+    global _worker
+    if grid.points_per_dim ** grid.n < PAIR_POINTS or _usable_cpus() < 2 or not _worker_free.acquire(blocking=False):
+        return first(), second()
+    try:
+        if _worker is None:
+            _worker = _Worker()
+        _worker.submit(second)
+        try:
+            a = first()
+        finally:  # second may still be writing its arrays
+            b, exc = _worker.wait()
+        if exc is not None:
+            raise exc
+        return a, b
+    finally:
+        _worker_free.release()
 
 
 def _resample(arr: np.ndarray, dst: Grid) -> np.ndarray:

@@ -30,6 +30,7 @@ from .spectral import (
     Field,
     Grid,
     RieszPotential,
+    _both,
     _form,
     _irfftn,
     _mesh,
@@ -247,10 +248,14 @@ def _quad(ws: _Workspace, w: np.ndarray) -> float:
 def _evaluate(ws: _Workspace) -> Tuple[float, float]:
     """quad = sum_i <(m^2 - Lap)^s u_i, u_i> and inter = <G(u), V * G(u)> at
     the trial point (the energy is 0.5 quad - inter): L + 1 forward FFTs
-    into the trial spectra, rfftn(u_i) and rfftn(G(u))."""
+    into the trial spectra, rfftn(u_i) paired (spectral._both) with G(u)
+    and rfftn(G(u))."""
     grid, params, arrs, spectra = ws.grid, ws.params, ws.trial, ws.spectra[1]
-    spectra[:-1] = [_rfftn(arr, out) for arr, out in zip(arrs, spectra)]
-    spectra[-1] = _rfftn(g_value(params.G, arrs, ws.g), spectra[-1])
+    spectra[:-1], spectra[-1] = _both(
+        grid,
+        lambda: [_rfftn(arr, out) for arr, out in zip(arrs, spectra)],
+        lambda: _rfftn(g_value(params.G, arrs, ws.g), spectra[-1]),
+    )
     inter = riesz_constant(grid.n, params.beta) * _form(grid, spectra[-1], ws.w_riesz, ws.work)
     return _quad(ws, ws.w_quad), inter
 
@@ -258,14 +263,20 @@ def _evaluate(ws: _Workspace) -> Tuple[float, float]:
 def _gradient(ws: _Workspace) -> List[Tuple[np.ndarray, np.ndarray]]:
     """(A_i, B_i) = ((m^2 - Lap)^s u_i, (V * G(u)) dG/dv_i), half the L^2
     gradients of quad and inter, at the accepted point from its spectra:
-    L + 1 inverse FFTs, into the parts of ws."""
+    the L inverse FFTs of A_i, one after the other through ws.half, paired
+    (spectral._both) with that of V * G(u) through the trial set's G(u)
+    spectrum, which every _evaluate writes before it reads."""
     grid, params, arrs, (*hats, g_hat) = ws.grid, ws.params, ws.points[0], ws.spectra[0]
-    conv = _irfftn(grid, np.multiply(g_hat, ws.w_riesz, out=ws.half), ws.g)
+    quads, conv = _both(
+        grid,
+        lambda: [_irfftn(grid, np.multiply(ws.w_quad, hat, out=ws.half), a)
+                 for hat, (a, _) in zip(hats, ws.parts)],
+        lambda: _irfftn(grid, np.multiply(g_hat, ws.w_riesz, out=ws.spectra[1][-1]), ws.g),
+    )
     conv *= riesz_constant(grid.n, params.beta)
     return [
-        (_irfftn(grid, np.multiply(ws.w_quad, hat, out=ws.half), a),
-         np.multiply(conv, g_partial(params.G, arrs, i), out=b))
-        for i, (hat, (a, b)) in enumerate(zip(hats, ws.parts))
+        (a, np.multiply(conv, g_partial(params.G, arrs, i), out=b))
+        for i, (a, (_, b)) in enumerate(zip(quads, ws.parts))
     ]
 
 

@@ -338,7 +338,7 @@ def _no_skip_value(f, spec):
         if spec.family is NormFamily.LEBESGUE and f.domain is Domain.PHYSICAL:
             mag = np.abs(f.data)
         elif spec.family is NormFamily.LEBESGUE:
-            mag = np.abs(inverse(data) / w)
+            mag = np.abs(inverse(data.copy()) / w)
         elif key is None or isinstance(key, int):
             mag = np.abs(inverse(data * _cutoff(g, key, half=real)) / w)
         else:

@@ -205,7 +205,7 @@ class TestHalfLattice:
 class TestRealTransforms:
     """_rfftn and _irfftn, the only real transforms of the variational layer,
     return the bits of numpy's rfftn and irfftn, into a given out or a fresh
-    array, and _irfftn leaves its input as it found it."""
+    array.  _irfftn consumes its input, so each call gets a copy."""
 
     SHAPES = [(1, 4096), (1, 65536), (2, 256), (3, 16), (3, 32), (3, 64)]
 
@@ -218,16 +218,111 @@ class TestRealTransforms:
         half = np.fft.rfftn(arr)
         assert half.shape == g.half_shape
         inverse = np.fft.irfftn(half, s=g.shape, axes=tuple(range(n)))
-        kept = half.copy()
         for out in (None, np.empty(g.half_shape, np.complex128)):
             got = _rfftn(arr, out)
             assert out is None or got is out
             assert np.array_equal(got, half)
         for out in (None, np.empty(g.shape)):
-            got = _irfftn(g, half, out)
+            got = _irfftn(g, half.copy(), out)
             assert out is None or got is out
             assert np.array_equal(got, inverse)
-            assert np.array_equal(half, kept)
+
+
+class TestPairedJobs:
+    """spectral._both: the second job runs on the worker thread from
+    PAIR_POINTS grid points in a process with two CPUs, on the caller's
+    thread otherwise, and the results and exceptions come back as from
+    running the jobs one after the other."""
+
+    @staticmethod
+    def thread_ids(grid):
+        import threading
+
+        from gnlab.spectral import _both
+
+        return _both(grid, threading.get_ident, threading.get_ident)
+
+    def test_threads_by_grid_and_cpus(self, monkeypatch):
+        import threading
+
+        from gnlab import spectral
+
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        me = threading.get_ident()
+        assert self.thread_ids(make_grid(3, 32, 1.0)) == (me, me)
+        assert self.thread_ids(make_grid(2, 256, 1.0)) == (me, me)
+        first, second = self.thread_ids(make_grid(2, 512, 1.0))
+        assert first == me != second
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
+        assert self.thread_ids(make_grid(3, 64, 1.0)) == (me, me)
+
+    def test_results_and_exceptions(self, monkeypatch):
+        from gnlab import spectral
+        from gnlab.spectral import _both
+
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        g = make_grid(3, 64, 1.0)
+        assert _both(g, lambda: "a", lambda: "b") == ("a", "b")
+        with pytest.raises(KeyError):
+            _both(g, lambda: 1, lambda: {}[0])
+        done = []
+        with pytest.raises(ZeroDivisionError):  # first's, raised after second has finished
+            _both(g, lambda: 1 / 0, lambda: done.append(1) or {}[0])
+        assert done == [1]
+        assert _both(g, lambda: 1, lambda: 2) == (1, 2)  # the worker is free again
+
+    def test_concurrent_callers(self, monkeypatch):
+        """Callers on several threads share the one worker: each gets its
+        own pair back, whether its second job ran there or on its thread."""
+        import sys
+        import threading
+
+        from gnlab import spectral
+        from gnlab.spectral import _both
+
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        g = make_grid(3, 64, 1.0)
+        wrong = []
+
+        def caller(t):
+            for i in range(300):
+                got = _both(g, lambda: ("first", t, i), lambda: ("second", t, i))
+                if got != (("first", t, i), ("second", t, i)):
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and wrong == []
+
+    def test_worker_keeps_no_job(self, monkeypatch):
+        """A job's closure (in a solve, its workspace) is dropped once
+        _both returns: held by the worker, a 64^3 minimization's arrays
+        outlived it and raised the next solve's peak memory by 23 MB."""
+        import gc
+        import weakref
+        from functools import partial
+
+        from gnlab import spectral
+        from gnlab.spectral import _both
+
+        class Arrays:
+            pass
+
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        held = Arrays()
+        gone = weakref.ref(held)
+        _both(make_grid(3, 64, 1.0), lambda: None, partial(id, held))
+        del held
+        gc.collect()
+        assert gone() is None
 
 
 class TestRealness:

@@ -440,6 +440,75 @@ class TestPinnedOutputs:
         assert (est.value.hex(), self.digest(est.argmax.data.real)) == (value, argmax)
 
 
+def _child_energy():
+    """A forked child's 64^3 energy: its worker must start afresh."""
+    from gnlab import spectral
+
+    assert spectral._worker is None
+    grid = make_grid(3, 64, 20.0)
+    energy(MultiField((gaussian(grid, 2.0),), (1.0,)), EnergyParams(1.0, 0.0, 2.0, sum_squares()))
+    assert spectral._worker is not None
+
+
+class TestPairedTransforms:
+    """_evaluate and _gradient pair their independent transforms through
+    spectral._both: on two threads from 64^3 (the 64^3 pins above check the
+    bits), one after the other below.  These tests claim two usable CPUs,
+    so they run the paired path on any host."""
+
+    @pytest.fixture
+    def submits(self, monkeypatch):
+        from gnlab import spectral
+
+        calls = []
+        submit = spectral._Worker.submit
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(spectral._Worker, "submit", lambda self, fn: calls.append(fn) or submit(self, fn))
+        return calls
+
+    def test_gate(self, submits):
+        params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
+        estimate_cstar(3, 1.0, make_grid(3, 32, 16.0), max_iters=5)
+        grid = make_grid(3, 32, 16.0)
+        minimize(MultiField((gaussian(grid, 2.0),), (1.0,)), params, MinimizeOptions(max_iters=3))
+        assert submits == []
+        grid = make_grid(3, 64, 20.0)
+        energy_gradient(MultiField((gaussian(grid, 2.0),), (1.0,)), params)
+        assert len(submits) == 2  # one from _evaluate, one from _gradient
+
+    @pytest.mark.skipif(not hasattr(__import__("os"), "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+    def test_forked_child(self, submits):
+        import multiprocessing
+
+        from gnlab import spectral
+
+        grid = make_grid(3, 64, 20.0)
+        energy(MultiField((gaussian(grid, 2.0),), (1.0,)), EnergyParams(1.0, 0.0, 2.0, sum_squares()))
+        assert spectral._worker is not None and len(submits) == 1
+        child = multiprocessing.get_context("fork").Process(target=_child_energy)
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_errstate_holds_on_the_worker(self, m, submits):
+        import warnings
+
+        grid = make_grid(3, m, 20.0)
+        u = MultiField((Field(grid, Domain.PHYSICAL, np.full(grid.shape, 1e200)),), (1.0,))
+        params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
+        with warnings.catch_warnings(), np.errstate(over="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                energy(u, params)
+        assert len(submits) == (m == 64)
+
+
 class TestProjectionAndRearrangement:
     def test_project_idempotent_and_exact(self):
         grid = make_grid(2, 32, 10.0)
