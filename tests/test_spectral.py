@@ -1,9 +1,15 @@
 """Spectral engine tests: transforms, projectors, symbols, dilation, GNF1."""
+import gc
 import math
+import sys
+import threading
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
+from gnlab import spectral
 from gnlab.fieldio import read_gnf, write_gnf
 from gnlab.norms import NormFamily, NormSpec, norm_values
 from gnlab.spectral import (
@@ -20,7 +26,7 @@ from gnlab.spectral import (
     to_physical,
     transform,
 )
-from gnlab.spectral import _cutoff, _resample
+from gnlab.spectral import _both, _cutoff, _resample
 from gnlab.testfuncs import gaussian, random_band_limited
 from instruments import apply_symbol, dilate, dyadic_project, lowpass_multiplier, partition_check
 from oracles import dilate_reference
@@ -236,17 +242,9 @@ class TestPairedJobs:
 
     @staticmethod
     def thread_ids(grid):
-        import threading
-
-        from gnlab.spectral import _both
-
         return _both(grid, threading.get_ident, threading.get_ident)
 
     def test_threads_by_grid_and_cpus(self, monkeypatch):
-        import threading
-
-        from gnlab import spectral
-
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
         me = threading.get_ident()
         assert self.thread_ids(make_grid(3, 32, 1.0)) == (me, me)
@@ -257,9 +255,6 @@ class TestPairedJobs:
         assert self.thread_ids(make_grid(3, 64, 1.0)) == (me, me)
 
     def test_results_and_exceptions(self, monkeypatch):
-        from gnlab import spectral
-        from gnlab.spectral import _both
-
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
         g = make_grid(3, 64, 1.0)
         assert _both(g, lambda: "a", lambda: "b") == ("a", "b")
@@ -274,12 +269,6 @@ class TestPairedJobs:
     def test_concurrent_callers(self, monkeypatch):
         """Callers on several threads share the one worker: each gets its
         own pair back, whether its second job ran there or on its thread."""
-        import sys
-        import threading
-
-        from gnlab import spectral
-        from gnlab.spectral import _both
-
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
         g = make_grid(3, 64, 1.0)
         wrong = []
@@ -306,13 +295,6 @@ class TestPairedJobs:
         """A job's closure (in a solve, its workspace) is dropped once
         _both returns: held by the worker, a 64^3 minimization's arrays
         outlived it and raised the next solve's peak memory by 23 MB."""
-        import gc
-        import weakref
-        from functools import partial
-
-        from gnlab import spectral
-        from gnlab.spectral import _both
-
         class Arrays:
             pass
 

@@ -1,8 +1,11 @@
 """Variational solver tests: interaction oracle, gradients, rearrangement,
 constrained descent, sharp-constant search, profiles, regime classification."""
 import math
+import multiprocessing
+import os
 import pathlib
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from instruments import dilate, g_conditions_check
 from oracles import lattice_riesz_kernel, pair_interaction_general, pair_interaction_product_density
 
-from gnlab import variational
+from gnlab import spectral, variational
 from gnlab.norms import NormFamily, NormSpec, norm_values
 from gnlab.spectral import Domain, Field, make_grid, riesz_constant
 from gnlab.testfuncs import gaussian, positive_random_field
@@ -442,8 +445,6 @@ class TestPinnedOutputs:
 
 def _child_energy():
     """A forked child's 64^3 energy: its worker must start afresh."""
-    from gnlab import spectral
-
     assert spectral._worker is None
     grid = make_grid(3, 64, 20.0)
     energy(MultiField((gaussian(grid, 2.0),), (1.0,)), EnergyParams(1.0, 0.0, 2.0, sum_squares()))
@@ -458,8 +459,6 @@ class TestPairedTransforms:
 
     @pytest.fixture
     def submits(self, monkeypatch):
-        from gnlab import spectral
-
         calls = []
         submit = spectral._Worker.submit
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
@@ -468,21 +467,17 @@ class TestPairedTransforms:
 
     def test_gate(self, submits):
         params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
-        estimate_cstar(3, 1.0, make_grid(3, 32, 16.0), max_iters=5)
         grid = make_grid(3, 32, 16.0)
+        estimate_cstar(3, 1.0, grid, max_iters=5)
         minimize(MultiField((gaussian(grid, 2.0),), (1.0,)), params, MinimizeOptions(max_iters=3))
         assert submits == []
         grid = make_grid(3, 64, 20.0)
         energy_gradient(MultiField((gaussian(grid, 2.0),), (1.0,)), params)
         assert len(submits) == 2  # one from _evaluate, one from _gradient
 
-    @pytest.mark.skipif(not hasattr(__import__("os"), "fork"), reason="needs fork")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
     def test_forked_child(self, submits):
-        import multiprocessing
-
-        from gnlab import spectral
-
         grid = make_grid(3, 64, 20.0)
         energy(MultiField((gaussian(grid, 2.0),), (1.0,)), EnergyParams(1.0, 0.0, 2.0, sum_squares()))
         assert spectral._worker is not None and len(submits) == 1
@@ -497,8 +492,6 @@ class TestPairedTransforms:
 
     @pytest.mark.parametrize("m", [32, 64])
     def test_errstate_holds_on_the_worker(self, m, submits):
-        import warnings
-
         grid = make_grid(3, m, 20.0)
         u = MultiField((Field(grid, Domain.PHYSICAL, np.full(grid.shape, 1e200)),), (1.0,))
         params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
