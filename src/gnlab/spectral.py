@@ -234,77 +234,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Worker:
-    """One daemon thread that runs the jobs handed to it one at a time, each
-    in a copy of the handing thread's context, so numpy's errstate (a
-    context variable) holds there as it does in the caller."""
-
-    def __init__(self):
-        self._ready = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._job = self._outcome = None
-        threading.Thread(target=self._serve, name="gnlab-spectral", daemon=True).start()
-
-    def _serve(self) -> None:
-        # No local names the job: a job's closure holds its solve's arrays,
-        # which would stay alive here until the next job.
-        while True:
-            self._ready.acquire()
-            try:
-                self._outcome = (self._job[0].run(self._job[1]), None)
-            except BaseException as exc:  # raised in the caller by _both
-                self._outcome = (None, exc)
-            self._done.release()
-
-    def submit(self, fn) -> None:
-        self._job = (contextvars.copy_context(), fn)
-        self._ready.release()
-
-    def wait(self):
-        """Wait for the submitted job: (its value, None), or (None, what it raised)."""
-        self._done.acquire()
-        outcome, self._job, self._outcome = self._outcome, None, None
-        return outcome
-
-
-_worker: Optional[_Worker] = None
-_worker_free = threading.Lock()  # held while a _both call uses the worker
-
-
-def _drop_worker() -> None:
-    """In a forked child: the worker thread was not copied, so forget it
-    (and a hold on it), and the child's first paired call starts its own."""
-    global _worker, _worker_free
-    _worker, _worker_free = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker)
-
-
 def _both(grid: Grid, first, second):
     """(first(), second()) for two independent jobs with no arguments.  On a
     grid of PAIR_POINTS points or more, in a process that may use two CPUs,
-    second runs on the worker thread while the caller runs first; otherwise,
-    or while another thread is using the worker, they run one after the
-    other.  The jobs share no array, so their results are the same bits
-    either way, and an exception comes from first before second."""
-    global _worker
-    if grid.points_per_dim ** grid.n < PAIR_POINTS or _usable_cpus() < 2 or not _worker_free.acquire(blocking=False):
+    second runs on a thread of its own, started for this call in a copy of
+    the caller's context (so numpy's errstate holds there), while the
+    caller runs first; otherwise they run one after the other.  The jobs
+    share no array, so their results are the same bits either way, and an
+    exception comes from first before second."""
+    if grid.points_per_dim ** grid.n < PAIR_POINTS or _usable_cpus() < 2:
         return first(), second()
-    try:
-        if _worker is None:
-            _worker = _Worker()
-        _worker.submit(second)
+    outcome = [None, None]
+
+    def run_second():
         try:
-            a = first()
-        finally:  # second may still be writing its arrays
-            b, exc = _worker.wait()
-        if exc is not None:
-            raise exc
-        return a, b
-    finally:
-        _worker_free.release()
+            outcome[0] = second()
+        except BaseException as exc:  # raised in the caller below
+            outcome[1] = exc
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
+    thread.start()
+    try:
+        a = first()
+    finally:  # second may still be writing its arrays
+        thread.join()
+    b, exc = outcome
+    if exc is not None:
+        raise exc
+    return a, b
 
 
 def _resample(arr: np.ndarray, dst: Grid) -> np.ndarray:

@@ -583,7 +583,8 @@ def estimate_cstar(
     coarse climbs carry almost all of the steps, on an eighth of the points
     in 3D: c10's bench run on 32^3 makes 533 quotient evaluations on 16^3
     and 109 on 32^3, where climbing every start on 32^3 made 1099 there.
-    max_iters bounds each climb.
+    max_iters bounds each climb: an integer >= 1 (read exactly, see
+    as_int), or ValueError before any climbing.
 
     Each step's backtracking line search halves its step, up to 25 trials,
     until the quotient rises by more than a relative 1e-12.  A climb's first
@@ -603,6 +604,9 @@ def estimate_cstar(
     """
     if grid.n != n:
         raise ValueError("grid dimension mismatch")
+    max_iters = as_int(max_iters, "max_iters")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1; got {max_iters!r}")
     params = _critical(n, beta)
     starts: List[np.ndarray] = []
     r2 = grid.coord_radius2()
@@ -691,20 +695,23 @@ def scaling_profile(u: MultiField, params: EnergyParams, lambdas: Sequence[float
     Evaluated by exact Fourier-side reindexing: the quadratic form becomes
     (m^2 + |lambda xi|^2)^s against the undilated spectrum, and the
     interaction picks up the factor lambda^(d n - n - beta) for a
-    homogeneity-d nonlinearity, so arbitrary lambda > 0 are admissible.
+    homogeneity-d nonlinearity, so arbitrary finite lambda > 0 are
+    admissible; any other lambda raises ValueError, before any evaluation.
     """
+    lambdas = list(lambdas)
+    for lam in lambdas:
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite; got {lam!r}")
     grid = u.grid
     d = g_degree(params.G)
     ws = _Workspace.at(u, params)
     inter = _evaluate(ws)[1]
     energies = []
     for lam in lambdas:
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
         w = _radial(grid, lambda r: (params.m2 + (lam * r) ** 2) ** params.s, half=True)
         energies.append(0.5 * _quad(ws, w) - lam ** (d * grid.n - grid.n - params.beta) * inter)
-    exponent = _tail_exponent(list(lambdas), energies)
-    return ScalingProfile(list(lambdas), energies, exponent)
+    exponent = _tail_exponent(lambdas, energies)
+    return ScalingProfile(lambdas, energies, exponent)
 
 
 def _tail_exponent(lambdas: List[float], energies: List[float]) -> Optional[float]:

@@ -212,3 +212,25 @@ def test_transforms_only_in_spectral():
         if names_fft(node)
     ]
     assert offenders == []
+
+
+def test_threads_only_in_spectral():
+    """spectral._both is where gnlab runs work on a second thread, so no
+    other module of gnlab imports threading or contextvars."""
+    def imports_threads(node):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            return False
+        return any(name.split(".")[0] in ("threading", "contextvars") for name in names)
+
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "spectral.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if imports_threads(node)
+    ]
+    assert offenders == []

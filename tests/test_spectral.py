@@ -235,10 +235,10 @@ class TestRealTransforms:
 
 
 class TestPairedJobs:
-    """spectral._both: the second job runs on the worker thread from
-    PAIR_POINTS grid points in a process with two CPUs, on the caller's
-    thread otherwise, and the results and exceptions come back as from
-    running the jobs one after the other."""
+    """spectral._both: the second job runs on a thread of its own, one per
+    call, from PAIR_POINTS grid points in a process with two CPUs, on the
+    caller's thread otherwise, and the results and exceptions come back as
+    from running the jobs one after the other."""
 
     @staticmethod
     def thread_ids(grid):
@@ -264,11 +264,11 @@ class TestPairedJobs:
         with pytest.raises(ZeroDivisionError):  # first's, raised after second has finished
             _both(g, lambda: 1 / 0, lambda: done.append(1) or {}[0])
         assert done == [1]
-        assert _both(g, lambda: 1, lambda: 2) == (1, 2)  # the worker is free again
+        assert _both(g, lambda: 1, lambda: 2) == (1, 2)  # and the next call pairs as before
 
     def test_concurrent_callers(self, monkeypatch):
-        """Callers on several threads share the one worker: each gets its
-        own pair back, whether its second job ran there or on its thread."""
+        """Callers on several threads at once each start their own second
+        thread per call, and each gets its own pair back."""
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
         g = make_grid(3, 64, 1.0)
         wrong = []
@@ -293,7 +293,7 @@ class TestPairedJobs:
 
     def test_worker_keeps_no_job(self, monkeypatch):
         """A job's closure (in a solve, its workspace) is dropped once
-        _both returns: held by the worker, a 64^3 minimization's arrays
+        _both returns: held past the call, a 64^3 minimization's arrays
         outlived it and raised the next solve's peak memory by 23 MB."""
         class Arrays:
             pass

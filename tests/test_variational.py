@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pathlib
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -172,6 +173,17 @@ class TestEnergy:
         params = EnergyParams(s=0.5, m2=0.0, beta=1.0, G=ProductPowers((3.0,)))
         prof = scaling_profile(project_spheres(u), params, [2.0 ** k for k in range(8)])
         assert min(prof.energies) < -10.0
+
+    @pytest.mark.parametrize("lambdas", [[math.nan], [1.0, 2.0, math.inf], [0.0], [1.0, -2.0]])
+    def test_lambda_checked(self, lambdas, monkeypatch):
+        """A lambda that is not finite and positive raises before any
+        evaluation: a NaN returned a NaN energy, and [1, 2, inf] ended in
+        numpy's LinAlgError from the exponent fit."""
+        calls = []
+        monkeypatch.setattr(variational, "_evaluate", lambda ws: calls.append(ws))
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            scaling_profile(single(make_grid(3, 16, 12.0), 1.4), EnergyParams(1.0, 0.0, 2.0, sum_squares()), lambdas)
+        assert calls == []
 
 
 class TestGradient:
@@ -443,12 +455,13 @@ class TestPinnedOutputs:
         assert (est.value.hex(), self.digest(est.argmax.data.real)) == (value, argmax)
 
 
-def _child_energy():
-    """A forked child's 64^3 energy: its worker must start afresh."""
-    assert spectral._worker is None
+def _child_energy(paired):
+    """A forked child's 64^3 energy: its paired call runs on a thread the
+    child starts."""
+    before = len(paired)
     grid = make_grid(3, 64, 20.0)
     energy(MultiField((gaussian(grid, 2.0),), (1.0,)), EnergyParams(1.0, 0.0, 2.0, sum_squares()))
-    assert spectral._worker is not None
+    assert len(paired) == before + 1
 
 
 class TestPairedTransforms:
@@ -458,30 +471,43 @@ class TestPairedTransforms:
     so they run the paired path on any host."""
 
     @pytest.fixture
-    def submits(self, monkeypatch):
+    def paired(self, monkeypatch):
+        """One entry per _both call of variational whose second job ran
+        off the calling thread."""
         calls = []
-        submit = spectral._Worker.submit
+        both = variational._both
+
+        def counted(grid, first, second):
+            caller = threading.get_ident()
+
+            def tracked():
+                if threading.get_ident() != caller:
+                    calls.append(second)
+                return second()
+
+            return both(grid, first, tracked)
+
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(spectral._Worker, "submit", lambda self, fn: calls.append(fn) or submit(self, fn))
+        monkeypatch.setattr(variational, "_both", counted)
         return calls
 
-    def test_gate(self, submits):
+    def test_gate(self, paired):
         params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
         grid = make_grid(3, 32, 16.0)
         estimate_cstar(3, 1.0, grid, max_iters=5)
         minimize(MultiField((gaussian(grid, 2.0),), (1.0,)), params, MinimizeOptions(max_iters=3))
-        assert submits == []
+        assert paired == []
         grid = make_grid(3, 64, 20.0)
         energy_gradient(MultiField((gaussian(grid, 2.0),), (1.0,)), params)
-        assert len(submits) == 2  # one from _evaluate, one from _gradient
+        assert len(paired) == 2  # one from _evaluate, one from _gradient
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-    def test_forked_child(self, submits):
+    def test_forked_child(self, paired):
         grid = make_grid(3, 64, 20.0)
         energy(MultiField((gaussian(grid, 2.0),), (1.0,)), EnergyParams(1.0, 0.0, 2.0, sum_squares()))
-        assert spectral._worker is not None and len(submits) == 1
-        child = multiprocessing.get_context("fork").Process(target=_child_energy)
+        assert len(paired) == 1
+        child = multiprocessing.get_context("fork").Process(target=_child_energy, args=(paired,))
         child.start()
         child.join(timeout=30)
         hung = child.is_alive()
@@ -491,7 +517,7 @@ class TestPairedTransforms:
         assert not hung and child.exitcode == 0
 
     @pytest.mark.parametrize("m", [32, 64])
-    def test_errstate_holds_on_the_worker(self, m, submits):
+    def test_errstate_holds_on_the_worker(self, m, paired):
         grid = make_grid(3, m, 20.0)
         u = MultiField((Field(grid, Domain.PHYSICAL, np.full(grid.shape, 1e200)),), (1.0,))
         params = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
@@ -499,7 +525,7 @@ class TestPairedTransforms:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError):
                 energy(u, params)
-        assert len(submits) == (m == 64)
+        assert len(paired) == (m == 64)
 
 
 class TestProjectionAndRearrangement:
@@ -680,6 +706,17 @@ class TestCStar:
         e = energy(u, EnergyParams((n - beta) / 2.0, 0.0, beta, sum_squares()))
         ups = upsilon_beta(u, beta)
         assert est.value == pytest.approx(ups / (2.0 * (e + ups)), rel=1e-12)
+
+    @pytest.mark.parametrize("max_iters", [0, -3, 2.5, True, "x"])
+    def test_max_iters_checked(self, max_iters, monkeypatch):
+        """max_iters is read as MinimizeOptions reads it, before any climb:
+        0 or -3 returned the unclimbed best start, and 2.5 raised a bare
+        TypeError from range."""
+        calls = []
+        monkeypatch.setattr(variational, "_ascend", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="max_iters"):
+            estimate_cstar(3, 1.0, make_grid(3, 16, 12.0), max_iters=max_iters)
+        assert calls == []
 
     def test_start_count(self):
         """Three Gaussian starts, then one positive random start per seed."""
