@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -45,6 +46,10 @@ class Grid:
     box_length: float
 
     def __post_init__(self):
+        for name in ("n", "points_per_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer; got {value!r}")
         if self.n not in (1, 2, 3):
             raise ValueError("dimension n must be 1, 2, or 3")
         m = self.points_per_dim

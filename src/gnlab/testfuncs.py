@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rational import as_fraction
+from .rational import as_fraction, as_int
 from .spectral import (
     INNER,
     OUTER,
@@ -70,12 +70,13 @@ class LacunaryFamily:
     amp_exp: Optional[Fraction] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "index", as_int(self.index, "index"))
         if self.index < 1:
             raise ValueError("index (bump count) must be >= 1")
-        if self.kind is FamilyKind.SCALED_BUMP_TRAIN and self.lam < 0:
-            raise ValueError("scaled trains require lambda >= 0")
         for name in ("eps", "s", "inv_p", "lam"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        if self.kind is FamilyKind.SCALED_BUMP_TRAIN and self.lam < 0:
+            raise ValueError("scaled trains require lambda >= 0")
         if self.amp_exp is not None:
             object.__setattr__(self, "amp_exp", as_fraction(self.amp_exp))
 
@@ -193,12 +194,14 @@ def family_members(family: LacunaryFamily, grid: Grid, counts: Sequence[int]) ->
 
 def gaussian(grid: Grid, width: float, center: Optional[Tuple[float, ...]] = None) -> Field:
     """exp(-|x - center|^2 / (2 width^2)) sampled with periodic wrapping."""
+    if center is None:
+        center = (0.0,) * grid.n
+    if len(center) != grid.n:
+        raise ValueError(f"center has {len(center)} coordinates; the grid has n = {grid.n}")
     if not width >= 4.0 * grid.spacing:  # written so that NaN fails too
         raise ValueError("width must be at least 4 grid spacings")
     if not width <= grid.box_length / 8.0:
         raise ValueError("width must be at most box_length / 8")
-    if center is None:
-        center = (0.0,) * grid.n
     L = grid.box_length
     axis = grid.axis_coords()
     r2 = _radius2([(axis - c + L / 2.0) % L - L / 2.0 for c in center])

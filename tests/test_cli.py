@@ -1,4 +1,6 @@
 """CLI surface: subcommands, exit codes, byte-reproducible JSON, GNF1 I/O."""
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -12,6 +14,19 @@ from gnlab.fieldio import read_gnf
 
 
 def run_cli(args):
+    """Run `gnlab args` in this process and report it as a finished process:
+    returncode (argparse's SystemExit read as its code), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return types.SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def run_process(args):
+    """Run `python -m gnlab.cli args` in a new process."""
     return subprocess.run(
         [sys.executable, "-m", "gnlab.cli", *args],
         capture_output=True,
@@ -56,13 +71,40 @@ class TestCheck:
         assert "surprise" in proc.stderr
 
     def test_byte_identical_reruns(self, tmp_path):
+        """Two processes, so two hash seeds, write the same bytes."""
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(PROBLEM))
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
-        assert run_cli(["check", "--problem", str(path), "--output", str(out1)]).returncode == 0
-        assert run_cli(["check", "--problem", str(path), "--output", str(out2)]).returncode == 0
+        assert run_process(["check", "--problem", str(path), "--output", str(out1)]).returncode == 0
+        assert run_process(["check", "--problem", str(path), "--output", str(out2)]).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestEntryPoint:
+    def test_exit_codes(self, tmp_path):
+        """python -m gnlab.cli exits with main's code: 0 for a verdict, 2 for
+        bad input, 3 for a numerical failure (a solve that does not
+        converge)."""
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(PROBLEM))
+        proc = run_process(["check", "--problem", str(path)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "Holds"
+        path.write_text(json.dumps(dict(PROBLEM, surprise=1)))
+        proc = run_process(["check", "--problem", str(path)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("gnlab: ") and "surprise" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 16.0},
+            "params": {"s": 1, "m2": 0, "beta": "1/2"}, "masses": [1.0],
+            "options": {"max_iters": 1},
+        }))
+        proc = run_process(["minimize", "--config", str(cfg)])
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout)["converged"] is False
 
 
 class TestFieldCommands:

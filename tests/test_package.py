@@ -170,6 +170,23 @@ def test_version_matches_pyproject():
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == gnlab.__version__
 
 
+def test_every_test_dependency_is_imported():
+    """Each package of pyproject's `test` extra is imported by some module
+    under tests/, so the extra lists no dependency that nothing uses."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    extra = re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1)
+    wanted = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+              for req in re.findall(r'"([^"]+)"', extra)}
+    imported = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert wanted and sorted(wanted - imported) == []
+
+
 def test_no_hidden_settings_or_home_writes():
     """No module of gnlab reads os.environ, calls os.getenv or calls
     Path.home: every setting is a flag or a config key, and a command writes

@@ -60,6 +60,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(n, m, 1.0)
 
+    @pytest.mark.parametrize("n,m", [(True, 8), (2.0, 8), (1, 8.0), (1, True), ("2", 8)])
+    def test_rejects_non_integer_sizes(self, n, m):
+        """Grid(True, 8, 1.0) and Grid(2.0, 8, 1.0) were accepted, and
+        points_per_dim 8.0 was a bare TypeError from the power-of-two test."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_grid(n, m, 1.0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert make_grid(np.int64(2), np.int64(16), 1.0) == make_grid(2, 16, 1.0)
+
     @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_or_nonfinite_box(self, length):
         """An infinite box used to build and fail later in k_min with

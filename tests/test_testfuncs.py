@@ -109,6 +109,26 @@ class TestBumpTrains:
         with pytest.raises(ValueError, match="admissible count"):
             build_family(eps_train(12), grid)
 
+    def test_string_lambda_read_exactly(self):
+        """lam was compared with 0 before its conversion, so any string
+        failed with a TypeError from '<'."""
+        fam = LacunaryFamily(FamilyKind.SCALED_BUMP_TRAIN, n=1, index=2, j0=4, lam="1/2")
+        assert fam == LacunaryFamily(FamilyKind.SCALED_BUMP_TRAIN, n=1, index=2, j0=4, lam=F(1, 2))
+        with pytest.raises(ValueError, match="lambda >= 0"):
+            LacunaryFamily(FamilyKind.SCALED_BUMP_TRAIN, n=1, index=2, lam="-1/2")
+
+    @pytest.mark.parametrize("index", [2.5, True, "x"])
+    def test_non_integer_index_rejected(self, index):
+        """index 2.5 and True were accepted; 2.5 failed later in
+        build_family with a bare TypeError."""
+        with pytest.raises(ValueError, match="index must be an integer"):
+            eps_train(index)
+
+    def test_integral_index_accepted(self):
+        assert eps_train(3.0) == eps_train(3)
+        with pytest.raises(ValueError, match="index"):
+            eps_train(0)
+
     def test_empty_bump_on_coarse_lattice(self):
         grid = make_grid(1, 64, 2 * math.pi)  # spacing 1: no points in the annulus
         with pytest.raises(ValueError, match="no lattice support"):
@@ -196,6 +216,12 @@ class TestGaussian:
             gaussian(g, 0.1)
         with pytest.raises(ValueError):
             gaussian(g, 3.0)
+
+    def test_center_length_must_match_grid(self):
+        """A 1-coordinate center on a 2D grid was reported as a data shape
+        mismatch, (64,) against (64, 64)."""
+        with pytest.raises(ValueError, match="center has 1 coordinates; the grid has n = 2"):
+            gaussian(make_grid(2, 64, 16.0), 1.0, center=(0.0,))
 
     @pytest.mark.parametrize("width", [math.nan, math.inf])
     def test_nonfinite_width_rejected(self, width):
