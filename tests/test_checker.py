@@ -213,7 +213,7 @@ def rationals(lo, hi, max_den):
 VALUES = {"s": rationals(-3, 3, 6), "inv": rationals(0, 4, 6), "theta": rationals(0, 1, 8)}
 
 
-def rational(rng, kind):
+def draw(rng, kind):
     """A uniform draw from VALUES[kind]; one draw in four is an end of the
     range or 0."""
     values = VALUES[kind]
@@ -231,12 +231,12 @@ def problem(rng, balanced):
 
     def value(kind):
         pool = drawn[kind]
-        x = rng.choice(pool) if pool and rng.random() < 0.25 else rational(rng, kind)
+        x = rng.choice(pool) if pool and rng.random() < 0.25 else draw(rng, kind)
         pool.append(x)
         return x
 
     triples = [SpaceTriple(value("s"), value("inv"), value("inv")) for _ in range(3)]
-    p = GNProblem(rng.choice((1, 2, 3)), rational(rng, "theta"), *triples, Scale.HOMOG_BESOV)
+    p = GNProblem(rng.choice((1, 2, 3)), draw(rng, "theta"), *triples, Scale.HOMOG_BESOV)
     if balanced:
         p = replace(p, target=replace(p.target, s=p.target.s + scaling_balance(p)))
     return p
@@ -265,7 +265,7 @@ def test_monotone_q_on_target():
     factors = random.Random(5)
     held = 0
     for p in problems(3000, seed=2):
-        factor = rational(factors, "theta")
+        factor = draw(factors, "theta")
         if check_besov(p).status is not Status.HOLDS:
             continue
         held += 1

@@ -19,7 +19,7 @@ def run_cli(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(args))
+            code = cli.main(args)
         except SystemExit as exc:
             code = exc.code
     return types.SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
