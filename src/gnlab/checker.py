@@ -194,7 +194,8 @@ def check_besov(problem: GNProblem) -> Verdict:
     Conditions: 1.8 scaling balance; 1.9 smoothness order; in the equality
     case of 1.9, the q-convexity condition 1.10 (p0 != p1) or 1.11
     (p0 == p1, waived when s0 != s1); in the strict case, 1.12 (waived when
-    the source0 embedding line differs from the target's).
+    the embedding line s - n/p of a source with positive weight differs
+    from the target's: source0's at theta = 0, source1's at theta = 1).
     """
     if problem.scale is not Scale.HOMOG_BESOV:
         return Verdict(Status.OUT_OF_SCOPE, note="requires the HomogBesov scale")
@@ -219,7 +220,11 @@ def check_besov(problem: GNProblem) -> Verdict:
             if a.s == b.s and not _q_convex_ok(problem):
                 violated.append("1.11")
     else:  # strict smoothness drop
-        same_line = a.s - n * a.inv_p == t.s - n * t.inv_p
+        # every source that carries weight lies on the target's embedding
+        # line: source0 alone at theta = 0 and source1 alone at theta = 1;
+        # inside (0, 1), under the balance, one does if and only if both do
+        line = t.s - n * t.inv_p
+        same_line = all(src.s - n * src.inv_p == line for weight, src in ((1 - th, a), (th, b)) if weight)
         if same_line and not _q_convex_ok(problem):
             violated.append("1.12")
     return _verdict(residual, violated)

@@ -23,7 +23,7 @@ from .spectral import (
     Bessel,
     Grid,
     _cutoff,
-    _cutoff_profile,
+    _cutoff_vanishes,
     _radii_at,
     _spectrum,
     symbol_values,
@@ -188,8 +188,14 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     field's band) is skipped before its inverse transform.  That is exact:
     its L^p norm is 0, which adds 0 to an l^q sum (any q, the max for
     q = inf, all terms being nonnegative), and its pointwise terms add 0 to
-    a Triebel aggregate or leave its max unchanged.  The test is on the
-    product, not the multiplier's support, so NaN data still propagates.
+    a Triebel aggregate or leave its max unchanged.  A shell or low-pass
+    piece is skipped before its multiplier is built when that multiplier is
+    0 at every position where the spectrum is nonzero, provided the data
+    there is finite: the piece is then finite data times 0 and 0 times a
+    cutoff value, all zero.  That is the carry rule below with the zero
+    spectrum as the previous field.  Any other piece is skipped when its
+    product has no nonzero entry, so underflow is caught too, and NaN or
+    inf data, which blocks the first test, still propagates.
 
     In a sequence of fields (norm_values_seq), a shell or low-pass piece
     whose multiplier is 0 at every position where the field's spectrum
@@ -210,16 +216,19 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     return norm_values_seq([field], specs)[0]
 
 
-def _unchanged_cutoffs(grid: Grid, data: np.ndarray, before: np.ndarray, real: bool, keys) -> set:
+def _unchanged_cutoffs(grid: Grid, data: np.ndarray, before, real: bool, keys) -> set:
     """The shell and low-pass keys among `keys` whose multiplier is 0 at every
-    position where the spectra data and before differ; none when a datum
-    there, on either side, is not finite."""
+    position where the spectrum data differs from before, another spectrum
+    of its shape or the scalar 0 (the positions where data is nonzero);
+    none when a datum there, on either side, is not finite."""
     changed = np.flatnonzero(data != before)
-    moved = (data.flat[changed], before.flat[changed])
+    moved = [np.take(data, changed)]
+    if isinstance(before, np.ndarray):
+        moved.append(np.take(before, changed))
     if not all(np.isfinite(side).all() for side in moved):
         return set()
     radii = _radii_at(grid, changed, real)
-    return {key for key in keys if not _cutoff_profile(key)(radii).any()}
+    return {key for key in keys if _cutoff_vanishes(key, radii)}
 
 
 def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[List[float]]:
@@ -228,11 +237,12 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
     The fields are read one at a time, so a generator streams them, and the
     previous field's spectrum is held only until the next one is compared
     with it, not while that one's pieces are built.  The positions where a
-    field's spectrum differs from the previous field's are found once per
-    field, and the shell and low-pass pieces whose multiplier is 0 at all
-    of them carry their terms over (the rule and why it is exact are given
-    at norm_values).  Every row is bit-identical to norm_values of that
-    field alone.
+    field's spectrum is nonzero, and those where it differs from the
+    previous field's, are found once per field.  The shell and low-pass
+    pieces whose multiplier is 0 at all of the first are skipped, and those
+    whose multiplier is 0 at all of the second carry their terms over (the
+    rules and why they are exact are given at norm_values).  Every row is
+    bit-identical to norm_values of that field alone.
     """
     for spec in specs:
         if spec.family in _TRIEBEL and math.isinf(spec.p):
@@ -247,7 +257,8 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
             pieces = [_pieces(grid, spec) for spec in specs]
             keys = sorted(dict.fromkeys(key for named in pieces for key in named), key=_piece_order)
             triebel = {key for named, spec in zip(pieces, specs) if spec.family in _TRIEBEL for key in named}
-            reusable = {key for key in keys if (key is None or isinstance(key, int)) and key not in triebel}
+            cutoffs = {key for key in keys if key is None or isinstance(key, int)}
+            reusable = cutoffs - triebel
         elif field.grid != grid:
             raise ValueError("every field of a sequence must lie on the first field's grid")
         direct = field.domain is Domain.PHYSICAL
@@ -255,9 +266,11 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
         if not direct or set(keys) - {_IDENTITY}:
             real = field.is_real
             data, inverse = _spectrum(to_fourier(field), real)
-        reuse = set()
+        zero = reuse = set()
+        if data is not None and cutoffs:
+            zero = _unchanged_cutoffs(grid, data, 0, real, cutoffs)
         if before is not None and before_real == real:
-            reuse = _unchanged_cutoffs(grid, data, before, real, reusable)
+            reuse = _unchanged_cutoffs(grid, data, before, real, reusable - zero)
         before = None
         kept = {}  # reusable key -> {spec index: weighted L^p term}
         terms: List[List[float]] = [[] for _ in specs]
@@ -265,6 +278,8 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
         for key in keys:
             if key in reuse:
                 found = carried[key]
+            elif key in zero:
+                found = {}  # its piece is all zero: skipped before its multiplier is built
             else:
                 found = {}
                 if key is _IDENTITY and direct:

@@ -399,17 +399,30 @@ def _radial(grid: Grid, fn, half: bool = False) -> np.ndarray:
 
 
 def _radii_at(grid: Grid, flat: np.ndarray, half: bool) -> np.ndarray:
-    """The distinct radii |xi| at the flat positions `flat` of the full
+    """The distinct radii |xi|, ascending, at the flat positions `flat` of the full
     lattice, or of the half lattice [..., :m//2 + 1]: the _radius_levels
     levels they index, so a radial multiplier's profile evaluated on them
     gives the multiplier's values there bit for bit."""
     levels, inverse, half_inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
-    return levels[np.unique((half_inverse if half else inverse).ravel()[flat])]
+    hit = np.zeros(levels.size, dtype=bool)  # a table, not np.unique: no sort
+    hit[(half_inverse if half else inverse).ravel()[flat]] = True
+    return levels[hit]
 
 
 def _cutoff_profile(k: Optional[int]):
     """The cutoff's profile in |xi|: r -> phi(2^-k r), or psi for k None."""
     return psi if k is None else lambda r: phi(r * (2.0 ** (-k)))
+
+
+def _cutoff_vanishes(k: Optional[int], radii: np.ndarray) -> bool:
+    """Whether the cutoff of _cutoff_profile(k) is 0 at every radius of the
+    ascending array radii.  The profile is evaluated only on the radii in
+    its support, (2^k INNER/2, 2^k OUTER), or below OUTER for psi: off it,
+    phi and psi are exactly 0 (2^-k r is exact), so the answer is that of
+    evaluating the profile on every radius."""
+    lo, hi = (-math.inf, OUTER) if k is None else (2.0 ** k * INNER / 2, 2.0 ** k * OUTER)
+    inside = radii[np.searchsorted(radii, lo, "right"): np.searchsorted(radii, hi, "left")]
+    return not (inside.size and _cutoff_profile(k)(inside).any())
 
 
 def _cutoff(grid: Grid, k: Optional[int], half: bool = False) -> np.ndarray:

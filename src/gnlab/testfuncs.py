@@ -10,6 +10,8 @@ families' growth laws can be read off as fitted slopes.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,8 +29,8 @@ from .spectral import (
     _annulus,
     _mark_real,
     _radius2,
+    _spectrum,
     phi,
-    to_physical,
 )
 
 
@@ -208,25 +210,80 @@ def gaussian(grid: Grid, width: float, center: Optional[Tuple[float, ...]] = Non
     return Field(grid, Domain.PHYSICAL, np.exp(-r2 / (2.0 * width ** 2)))
 
 
+# SplitMix64 (Steele, Lea and Flood 2014): the golden-ratio gamma that
+# spaces its states and the two multipliers of its finalizer.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_WORD = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    """SplitMix64's finalizer, a bijection of the 64-bit words: on a Python
+    int, or elementwise on a uint64 array, whose products wrap mod 2^64."""
+    z = (z ^ (z >> 30)) * _MIX1 & _WORD
+    z = (z ^ (z >> 27)) * _MIX2 & _WORD
+    return z ^ (z >> 31)
+
+
+def _seed_base(seed) -> int:
+    """The 64-bit state that a seed starts the draws from: every 64-bit word
+    of the seed, lowest first, folded in by the finalizer.  Python ints
+    throughout, so nothing overflows (a numpy uint64 scalar would warn).
+    Any nonnegative integer is a seed.  A negative integer raises
+    ValueError and a float or another non-integer TypeError, as
+    numpy.random.default_rng does; a bool raises TypeError too, though
+    default_rng takes it."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be a nonnegative integer; got {seed!r}")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer; got {seed}")
+    base = 0
+    while True:
+        base = _splitmix64((base ^ (seed & _WORD)) + _GAMMA & _WORD)
+        seed >>= 64
+        if not seed:
+            return base
+
+
+def _complex_normals(seed, flat: np.ndarray) -> np.ndarray:
+    """re + i im with re, im independent standard normals, one pair per flat
+    lattice index in `flat`, each a pure function of (seed, index): the
+    SplitMix64 finalizer of the states base + c gamma (mod 2^64), with
+    base = _seed_base(seed) and the counters c = 2 index and 2 index + 1,
+    gives two words; their top 53 bits give uniforms u1, u2 in [0, 1), and
+    Box-Muller gives re + i im = sqrt(-2 log(1 - u1)) exp(2 pi i u2).
+    A counter-based draw (Salmon et al. 2011, "Parallel random numbers: as
+    easy as 1, 2, 3"): any subset of indices costs what its size costs and
+    gives the values of the whole lattice's draw there."""
+    state = np.asarray(flat, dtype=np.uint64) * (2 * _GAMMA & _WORD) + _seed_base(seed)
+
+    def uniform(z):
+        return (_splitmix64(z) >> 11).astype(np.float64) * 2.0 ** -53
+
+    radius = np.sqrt(-2.0 * np.log1p(-uniform(state)))
+    angle = 2.0 * math.pi * uniform(state + _GAMMA)
+    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+
+
 def random_band_limited(grid: Grid, k_lo: int, k_hi: int, seed: int) -> Field:
     """i.i.d. complex-Gaussian Fourier data on the annulus
     2^k_lo <= |xi| <= 2^k_hi, Hermitian-symmetrized so the physical field is
-    real; deterministic in the seed.
+    real; deterministic in the seed (see _seed_base for what a seed may be).
 
-    The draws cover the whole lattice, so the values do not depend on the
-    band; the average 0.5 (a(xi) + conj(a(-xi))) is formed on the annulus
-    only (see spectral._annulus) and scattered into zeros.  The field is
-    recorded as real, so Field.is_real costs nothing."""
+    Each lattice point's draw is a pure function of the seed and its index
+    (_complex_normals), so the values do not depend on the band, while only
+    the annulus is drawn; the average 0.5 (a(xi) + conj(a(-xi))) is formed
+    on the annulus only (see spectral._annulus) and scattered into zeros.
+    The field is recorded as real, so Field.is_real costs nothing."""
     lo, hi = grid.shell_bounds
     if not (lo <= k_lo <= k_hi <= hi):
         raise ValueError(f"band [{k_lo}, {k_hi}] outside the representable window [{lo}, {hi}]")
     idx, swap = _annulus(grid, k_lo, k_hi)
     if not idx.size:
         raise ValueError("empty annulus on this lattice")
-    rng = np.random.default_rng(seed)
-    re = rng.standard_normal(grid.shape).ravel()
-    im = rng.standard_normal(grid.shape).ravel()
-    a = re[idx] + 1j * im[idx]
+    a = _complex_normals(seed, idx)
     data = np.zeros(grid.shape, dtype=np.complex128)
     data.flat[idx] = 0.5 * (a + np.conj(a[swap]))
     data.flags.writeable = False  # Field keeps it without a copy
@@ -235,9 +292,12 @@ def random_band_limited(grid: Grid, k_lo: int, k_hi: int, seed: int) -> Field:
 
 def positive_random_field(grid: Grid, seed: int) -> Field:
     """Nonnegative physical field: |smooth random band-limited field| on the
-    band [k_min, k_min + 2], cut at the top guard shell."""
+    band [k_min, k_min + 2], cut at the top guard shell.  The band-limited
+    field is real, so it is inverted from its half spectrum by irfftn."""
     k_lo = grid.k_min
     # two shells wide so the annulus always meets the lattice
     k_hi = min(k_lo + 2, grid.shell_bounds[1])
-    base = to_physical(random_band_limited(grid, k_lo, k_hi, seed))
-    return Field(grid, Domain.PHYSICAL, np.abs(base.data.real))
+    half, inverse = _spectrum(random_band_limited(grid, k_lo, k_hi, seed), True)
+    base = inverse(half.copy())  # the real inverse consumes its input
+    base /= grid.quadrature_weight
+    return Field(grid, Domain.PHYSICAL, np.abs(base, out=base))

@@ -8,6 +8,7 @@ of known closed forms are evaluated with scipy quadrature.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -161,17 +162,46 @@ def _lattice_radius(n: int, M: int, L: float) -> np.ndarray:
 
 def band_limited_full_lattice(n: int, M: int, L: float, k_lo: int, k_hi: int,
                               seed: int) -> np.ndarray:
-    """Random band-limited Fourier data built on the whole lattice: complex
-    Gaussian draws masked to the annulus 2^k_lo <= |xi| <= 2^k_hi by np.where,
-    then averaged with their Hermitian mirror conj(a[-xi]), taken by a flip
-    and a roll of the full array."""
+    """Random band-limited Fourier data built on the whole lattice: the
+    library's counter-based complex Gaussian draw at every lattice index,
+    masked to the annulus 2^k_lo <= |xi| <= 2^k_hi by np.where, then averaged
+    with its Hermitian mirror conj(a[-xi]), taken by a flip and a roll of the
+    full array."""
+    from gnlab.testfuncs import _complex_normals
+
     r = _lattice_radius(n, M, L)
     mask = (r >= 2.0 ** k_lo) & (r <= 2.0 ** k_hi)
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
+    data = _complex_normals(seed, np.arange(r.size)).reshape(r.shape)
     data = np.where(mask, data, 0.0)
     mirror = np.conj(np.roll(np.flip(data), 1, axis=tuple(range(n))))
     return 0.5 * (data + mirror)
+
+
+def splitmix64_normal_pair(seed: int, index: int) -> Tuple[float, float]:
+    """The (re, im) draw of one lattice index, restated in Python ints and
+    the math module: the seed's 64-bit words, lowest first, are folded into
+    a state by the SplitMix64 finalizer (Steele, Lea and Flood 2014); the
+    finalizer of state + c gamma for the counters c = 2 index and
+    2 index + 1 gives two uniforms by its top 53 bits, and Box-Muller turns
+    them into two normals."""
+    mask = (1 << 64) - 1
+    gamma = 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    words = [seed & mask]
+    while seed >> 64:
+        seed >>= 64
+        words.append(seed & mask)
+    state = 0
+    for word in words:
+        state = mix(((state ^ word) + gamma) & mask)
+    u1, u2 = ((mix((state + (2 * index + j) * gamma) & mask) >> 11) / 2.0 ** 53 for j in (0, 1))
+    radius = math.sqrt(-2.0 * math.log1p(-u1))
+    return radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)
 
 
 def psi_full_array(t: np.ndarray, inner: float = 1.0, outer: float = 1.5) -> np.ndarray:

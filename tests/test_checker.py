@@ -90,6 +90,16 @@ class TestBesovChecker:
         ok = besov(1, "1/2", t(0, 2, 2), t("1/2", 1, 1), t(1, "2/3"))
         assert check_besov(ok).status is Status.HOLDS
 
+    def test_theta_one_reads_source1_line(self):
+        """B^0_{2,1} <= B^{1/2}_{1,inf} in n = 1: both lie on the line
+        s - 1/p = -1/2, the smoothness drops, and 1/q = 1 exceeds the
+        sources' 0, so 1.12 fails with the weight on either side.  The waiver
+        read source0's line, so at theta = 1 it read Holds."""
+        target, source = t(0, 2, 1), t("1/2", 1)
+        junk = t(0, "inf")
+        assert check_besov(besov(1, 0, target, source, junk)).violated == ("1.12",)
+        assert check_besov(besov(1, 1, target, junk, source)).violated == ("1.12",)
+
     def test_theta_outside_range_out_of_scope(self):
         p = besov(1, "3/2", t(0, 2), t(0, 2), t(0, 2))
         assert check_besov(p).status is Status.OUT_OF_SCOPE
@@ -298,3 +308,15 @@ def test_sup_source_consistent_with_general():
 def test_auto_check_matches_a_specific_checker():
     for p in problems(2000, seed=4):
         assert auto_check(p) in (check_besov(p), check_besov_sup(p)), p
+
+
+def test_swap_symmetry():
+    """theta -> 1 - theta with the sources exchanged names the same
+    inequality, so it gets the same verdict."""
+    strict_endpoints = 0
+    for p in problems(3000, seed=6):
+        swapped = replace(p, theta=1 - p.theta, source0=p.source1, source1=p.source0)
+        v = check_besov(p)
+        assert check_besov(swapped) == v, p
+        strict_endpoints += p.theta in (0, 1) and "1.12" in v.violated
+    assert strict_endpoints >= 30  # the endpoint waiver is decided on enough draws

@@ -147,6 +147,17 @@ class TestFieldCommands:
         )
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_random_seed_range(self, tmp_path):
+        """A negative seed is an input error (exit 2) that writes nothing; a
+        seed of 2^64 and more is accepted."""
+        args = ["random", "--n", "1", "--points", "512", "--box-length", str(4 * math.pi),
+                "--k-lo", "2", "--k-hi", "4"]
+        bad = tmp_path / "bad.gnf"
+        proc = run_cli(args + ["--seed", "-1", "--output", str(bad)])
+        assert proc.returncode == 2 and "seed" in proc.stderr and not bad.exists()
+        proc = run_cli(args + ["--seed", str(2 ** 64 + 7), "--output", str(tmp_path / "big.gnf")])
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("family,q,header_bytes", [
         ("HomogBesov", "-2", None), ("HomogTriebel", "-1", None), ("HomogBesov", "2", 8),
     ])

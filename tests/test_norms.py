@@ -94,15 +94,23 @@ class TestBesovNorm:
                 assert b <= a * (1 + 1e-12)
 
     def test_dilation_scaling_law(self):
-        """Besov norm of f(lambda .) scales like lambda^(s - n/p)."""
+        """Besov norm of f(lambda .) scales like lambda^(s - n/p).  dilate
+        keeps f(2^m x) on |x| < L / 2^(m+1), one period of f, and zero
+        elsewhere, which is the dilation of f only for an f that vanishes
+        near the box's edge: a periodic field cut there does not obey the
+        law.  So f is a random band-limited field under a Gaussian window
+        of width 1.5, which is below 1e-38 at |x| = L/2 = 20."""
         g = make_grid(1, 4096, 40.0)
-        f = random_band_limited(g, 2, 3, seed=5)
-        for s, p in [(0.5, 2.0), (1.0, 4.0), (-0.5, 2.0)]:
-            spec = bspec(s, p, 2.0)
-            base = norm_values(f, [spec])[0]
-            for m in (1, 2):
-                val = norm_values(dilate(f, m), [spec])[0]
-                assert val / base == pytest.approx(2.0 ** (m * (s - 1.0 / p)), rel=2e-2)
+        window = gaussian(g, 1.5).data.real
+        for seed in (5, 6, 7):
+            wave = to_physical(random_band_limited(g, 2, 3, seed)).data.real
+            f = Field(g, Domain.PHYSICAL, wave * window)
+            for s, p in [(0.5, 2.0), (1.0, 4.0), (-0.5, 2.0)]:
+                spec = bspec(s, p, 2.0)
+                base = norm_values(f, [spec])[0]
+                for m in (1, 2):
+                    val = norm_values(dilate(f, m), [spec])[0]
+                    assert val / base == pytest.approx(2.0 ** (m * (s - 1.0 / p)), rel=1e-5)
 
     def test_eps_train_growth_law(self):
         """Growing-amplitude train: norms at counts 10 vs 6 differ by
@@ -227,9 +235,11 @@ class TestSobolevNorm:
         assert res2.warnings == ()
 
 
-def _reference_shell_norm(f, spec):
+def _reference_shell_norm(f, spec, half=False):
     """Besov or Triebel norm one shell at a time, through Field transforms
-    and the cutoff evaluated on the whole lattice."""
+    and the cutoff evaluated on the whole lattice.  With half, each piece is
+    inverted as the library inverts a field recorded real: numpy's irfftn
+    of its half spectrum [..., :m//2 + 1]."""
     g = f.grid
     hat = to_fourier(f)
     r = g.freq_radius()
@@ -238,7 +248,14 @@ def _reference_shell_norm(f, spec):
     blocks = [(1.0, psi(r))] if inhomog else []
     blocks += [(2.0 ** (k * spec.s), phi(r * 2.0 ** (-k)))
                for k in range(max(klo, 1) if inhomog else klo, khi + 1)]
-    pieces = [(wk, to_physical(Field(g, Domain.FOURIER, hat.data * mult))) for wk, mult in blocks]
+
+    def inverse(data):
+        if not half:
+            return to_physical(Field(g, Domain.FOURIER, data))
+        piece = np.fft.irfftn(data[..., : g.points_per_dim // 2 + 1], s=g.shape, axes=range(g.n))
+        return Field(g, Domain.PHYSICAL, piece / g.quadrature_weight)
+
+    pieces = [(wk, inverse(hat.data * mult)) for wk, mult in blocks]
     lebesgue = [NormSpec(NormFamily.LEBESGUE, p=spec.p)]
     if spec.family in (NormFamily.HOMOG_BESOV, NormFamily.INHOMOG_BESOV):
         terms = [wk * norm_values(piece, lebesgue)[0] for wk, piece in pieces]
@@ -286,7 +303,7 @@ class TestNormValues:
             for spec, value in zip(self.MIXED, expected):
                 if spec.family not in (NormFamily.LEBESGUE, NormFamily.HOMOG_SOBOLEV,
                                        NormFamily.BESSEL_SOBOLEV):
-                    assert value == _reference_shell_norm(f, spec)
+                    assert value == _reference_shell_norm(f, spec, half=f.is_real)
             assert norm_values(f, self.MIXED[::-1]) == expected[::-1]
             assert norm_values(f, self.MIXED[3:5]) == expected[3:5]
 
@@ -382,6 +399,46 @@ class TestZeroPieces:
     def test_equal_to_no_skip_oracle(self, n, m):
         for f in self._fields(n, m):
             assert norm_values(f, self.SPECS) == [_no_skip_value(f, spec) for spec in self.SPECS]
+
+    @pytest.mark.parametrize("n,m", [(1, 1024), (2, 64), (3, 32)])
+    def test_band_fields_equal_no_skip_oracle(self, n, m):
+        """Bump trains of one and three bumps and random fields on each band
+        of the c05 sweep, in both forms: the skip before the multiplier is
+        built leaves every value as the no-skip loop computes it."""
+        from gnlab.testfuncs import FamilyKind, LacunaryFamily, build_family
+
+        g = make_grid(n, m, 4 * math.pi)
+        fields = [build_family(LacunaryFamily(FamilyKind.EPS_BUMP_TRAIN, n, count, j0=3), g)
+                  for count in ((1, 3) if n == 1 else (1,))]  # the count that fits the lattice
+        fields += [random_band_limited(g, k, k + 1, seed=k) for k in range(g.k_min, min(g.k_min + 4, g.k_max))]
+        for f in fields + [to_physical(f) for f in fields]:
+            assert norm_values(f, self.SPECS) == [_no_skip_value(f, spec) for spec in self.SPECS]
+
+    def test_multipliers_built_only_where_the_band_meets_them(self, monkeypatch):
+        """A one-bump 64^3 train lies where a single shell's cutoff is 1 and
+        every other cutoff is 0, and a random field on [2, 4] meets two
+        shells: only the multipliers of those shells are built, once each,
+        and the values are those of the no-skip loop."""
+        from gnlab import norms
+        from gnlab.norms import _IDENTITY, _pieces
+        from gnlab.testfuncs import FamilyKind, LacunaryFamily, build_family
+
+        built = []
+        cutoff = norms._cutoff
+        monkeypatch.setattr(norms, "_cutoff", lambda g, k, half=False: built.append(k) or cutoff(g, k, half))
+        g = make_grid(3, 64, 4 * math.pi)
+        keys = {key for spec in self.SPECS for key in _pieces(g, spec)}
+        cutoffs = {key for key in keys if key is not _IDENTITY and (key is None or isinstance(key, int))}
+        train = build_family(LacunaryFamily(FamilyKind.EPS_BUMP_TRAIN, 3, 1, j0=3), g)
+        for f, meets in ((train, [3]), (random_band_limited(g, 1, 2, seed=4), [1, 2])):
+            r = g.freq_radius()[f.data != 0]
+            assert meets == sorted(k for k in cutoffs - {None} if phi(r * 2.0 ** -k).any())
+            assert not psi(r).any() and len(cutoffs) > 4
+            built.clear()
+            values = norm_values(f, self.SPECS)
+            assert sorted(built) == meets
+            some = self.SPECS[::5]  # the four shell families and a Sobolev spec; q = 0.5, 2, inf
+            assert [values[self.SPECS.index(spec)] for spec in some] == [_no_skip_value(f, spec) for spec in some]
 
     @pytest.mark.parametrize("n,m", [(1, 1024), (3, 32)])
     def test_one_inverse_per_nonzero_piece(self, n, m, monkeypatch):
@@ -494,7 +551,8 @@ class TestZeroPieces:
     def test_nan_data_propagates(self):
         """A NaN off every piece's support still reaches every value: the
         shell 5 lies off both the band [4, 8] and the NaN at |xi| = 1/2, so
-        a skip decided by supports would read 0 there.  In a sequence, a
+        a skip decided by supports, or by the nonzero positions of the
+        spectrum without their finiteness, would read 0 there.  In a sequence, a
         NaN in a later field where every shell but the low-pass block is 0
         still reaches all of that field's values, though those shells are
         unchanged elsewhere, and a NaN field before a finite one leaves the

@@ -231,6 +231,29 @@ def test_transforms_only_in_spectral():
     assert offenders == []
 
 
+def test_no_numpy_random():
+    """Random values come from the counter-based draw of
+    testfuncs._complex_normals alone, so no module of gnlab names
+    numpy.random, by attribute or by import."""
+    def names_random(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith("numpy.random") for a in node.names)
+        return False
+
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if names_random(node)
+    ]
+    assert offenders == []
+
+
 def test_threads_only_in_spectral():
     """spectral._both is where gnlab runs work on a second thread, so no
     other module of gnlab imports threading or contextvars."""

@@ -144,6 +144,36 @@ class TestCutoff:
         t = np.array([0.75, 0.9, 1.0])
         assert np.all(phi(t) == 1.0)
 
+    def test_vanishing_read_on_the_support_alone(self):
+        """_cutoff_vanishes evaluates a profile only inside its support and
+        answers as the profile evaluated on every radius does: on radii that
+        end at, just inside and just outside each support's edges, and on
+        every window of 1 to 4 consecutive lattice radii of a 64^2 grid."""
+        from gnlab.spectral import _cutoff_profile, _cutoff_vanishes, _radii_at
+
+        g = make_grid(2, 64, 4 * math.pi)
+        levels = _radii_at(g, np.arange(g.points_per_dim ** 2), False)
+        keys = [None] + list(range(g.k_min - 1, g.k_max + 2))
+        edges = [0.5, 1.5, 2.0 ** (g.k_min - 2), 2.0 ** (g.k_max + 2)]
+        edges += [2.0 ** k * f for k in keys[1:] for f in (0.5, 1.5)]
+        cases = [levels[i:i + w] for w in (1, 2, 3, 4) for i in range(levels.size - w + 1)]
+        for edge in edges:
+            near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+            cases += [near[:1], near[1:2], near[2:], near]
+        for radii in cases:
+            for key in keys:
+                assert _cutoff_vanishes(key, radii) == (not _cutoff_profile(key)(radii).any()), (key, radii)
+
+    def test_radii_at_are_the_distinct_levels_ascending(self):
+        from gnlab.spectral import _radii_at
+
+        g = make_grid(2, 64, 4 * math.pi)
+        rng = np.random.default_rng(3)
+        for half in (False, True):
+            r = g.freq_radius()[..., : 33] if half else g.freq_radius()
+            flat = rng.choice(r.size, size=300, replace=False)
+            assert _radii_at(g, flat, half).tobytes() == np.unique(r.ravel()[flat]).tobytes()
+
     @pytest.mark.parametrize("n,m,L", [(1, 2 ** 14, 2 * math.pi), (2, 1024, 2 * math.pi), (3, 64, 2 * math.pi)])
     def test_partition_of_unity(self, n, m, L):
         rep = partition_check(make_grid(n, m, L))

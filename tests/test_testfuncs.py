@@ -15,6 +15,7 @@ from gnlab.testfuncs import (
     bump_center,
     family_members,
     gaussian,
+    positive_random_field,
     random_band_limited,
 )
 from instruments import dyadic_project
@@ -268,9 +269,9 @@ class TestRandomBandLimited:
 
     @pytest.mark.parametrize("n,m", [(1, 4096), (2, 256), (3, 64), (3, 32)])
     def test_bytes_equal_full_lattice_generator(self, n, m):
-        """Drawing on the whole lattice and symmetrizing on the annulus only
-        gives the bytes of the full-lattice mask-and-mirror generator, for
-        every band of the c05 sweep and three seeds."""
+        """Drawing on the annulus only and symmetrizing there gives the bytes
+        of the full-lattice draw, masked and mirrored, for every band of the
+        c05 sweep and three seeds: the values do not depend on the band."""
         from oracles import band_limited_full_lattice
 
         g = make_grid(n, m, 4 * math.pi)
@@ -279,6 +280,79 @@ class TestRandomBandLimited:
                 want = band_limited_full_lattice(n, m, 4 * math.pi, k, k + 1, seed)
                 got = random_band_limited(g, k, k + 1, seed).data
                 assert got.tobytes() == want.tobytes(), (k, seed)
+
+    def test_band_independence(self):
+        """Two overlapping bands of one seed agree, bit for bit, wherever
+        both are nonzero: every lattice point's draw depends on the seed and
+        its index alone, though each band draws only its own annulus."""
+        for n, m in ((1, 4096), (2, 256), (3, 32)):
+            g = make_grid(n, m, 4 * math.pi)
+            a = random_band_limited(g, g.k_min, g.k_min + 2, seed=3).data
+            b = random_band_limited(g, g.k_min + 1, g.k_min + 3, seed=3).data
+            both = (a != 0) & (b != 0)
+            assert both.any() and (a != 0).sum() > both.sum() < (b != 0).sum()
+            assert a[both].tobytes() == b[both].tobytes()
+
+    def test_matches_scalar_reference(self):
+        """The array draw against oracles.splitmix64_normal_pair, the same
+        generator restated in Python ints and the math module, whose cos,
+        sin and log1p may round a last bit differently."""
+        from gnlab.testfuncs import _complex_normals
+        from oracles import splitmix64_normal_pair
+
+        index = np.array([0, 1, 2, 4095, 262143, 2 ** 40 + 3])
+        for seed in (0, 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 7, 3 * 10 ** 17, 2 ** 130 + 5):
+            got = _complex_normals(seed, index)
+            want = [complex(*splitmix64_normal_pair(seed, int(i))) for i in index]
+            assert got.tolist() == pytest.approx(want, rel=1e-14, abs=1e-15), seed
+
+    def test_draw_statistics(self):
+        """Over 2^18 indices the real and imaginary parts have mean 0,
+        variance 1 and correlation 0, each within five standard errors
+        (5 / 512 for the means and the correlation, 5 sqrt(2) / 512 for
+        the variances), for a small seed and two of more than 64 bits."""
+        from gnlab.testfuncs import _complex_normals
+
+        size = 2 ** 18
+        for seed in (0, 2 ** 64 + 1, 3 * 10 ** 17):
+            z = _complex_normals(seed, np.arange(size))
+            assert np.isfinite(z).all()
+            for part in (z.real, z.imag):
+                assert abs(part.mean()) < 5 / 512
+                assert abs(part.var() - 1.0) < 5 * math.sqrt(2) / 512
+            assert abs(np.corrcoef(z.real, z.imag)[0, 1]) < 5 / 512
+
+    def test_seed_contract(self):
+        """Any nonnegative integer is a seed, every 64-bit word of it counts,
+        and numpy integers read as their value; a negative seed raises
+        ValueError and a non-integer TypeError."""
+        g = make_grid(2, 64, 4 * math.pi)
+
+        def draw(seed):
+            return random_band_limited(g, 2, 4, seed).data.tobytes()
+
+        seeds = [5, 2 ** 64, 2 ** 64 + 5, 2 ** 128 + 5, 2 ** 128 + 2 ** 64 + 5, 3 * 10 ** 17]
+        assert len({draw(seed) for seed in seeds}) == len(seeds)
+        assert draw(np.int64(5)) == draw(np.uint64(5)) == draw(5)
+        for seed in (-1, -(2 ** 64)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                random_band_limited(g, 2, 4, seed)
+        for seed in (1.0, "1", None, True):
+            with pytest.raises(TypeError, match="nonnegative integer"):
+                random_band_limited(g, 2, 4, seed)
+
+    def test_positive_field_from_half_spectrum(self):
+        """positive_random_field inverts its real band-limited field from the
+        half spectrum; the complex inverse gives the same samples to
+        round-off, and every sample is real and nonnegative."""
+        for n, m in ((1, 256), (3, 32)):
+            g = make_grid(n, m, 16.0)
+            f = positive_random_field(g, 9)
+            band = random_band_limited(g, g.k_min, g.k_min + 2, 9)
+            want = np.abs(to_physical(band).data.real)
+            assert f.domain is Domain.PHYSICAL and not f.data.imag.any()
+            assert f.data.real.min() >= 0.0
+            np.testing.assert_allclose(f.data.real, want, rtol=0, atol=1e-14 * want.max())
 
     def test_recorded_real_without_mirror(self, monkeypatch):
         """is_real is recorded at construction: it holds with the Hermitian
