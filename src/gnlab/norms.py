@@ -188,14 +188,17 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     field's band) is skipped before its inverse transform.  That is exact:
     its L^p norm is 0, which adds 0 to an l^q sum (any q, the max for
     q = inf, all terms being nonnegative), and its pointwise terms add 0 to
-    a Triebel aggregate or leave its max unchanged.  A shell or low-pass
-    piece is skipped before its multiplier is built when that multiplier is
-    0 at every position where the spectrum is nonzero, provided the data
-    there is finite: the piece is then finite data times 0 and 0 times a
-    cutoff value, all zero.  That is the carry rule below with the zero
-    spectrum as the previous field.  Any other piece is skipped when its
-    product has no nonzero entry, so underflow is caught too, and NaN or
-    inf data, which blocks the first test, still propagates.
+    a Triebel aggregate or leave its max unchanged.  For a field given in
+    Fourier form, a shell or low-pass piece is skipped before its
+    multiplier is built when that multiplier is 0 at every position where
+    the spectrum is nonzero, provided the data there is finite: the piece
+    is then finite data times 0 and 0 times a cutoff value, all zero.  That
+    is the carry rule below with the zero spectrum as the previous field.
+    A physical field's spectrum is computed, nonzero almost everywhere, so
+    that scan is not made for it.  Any other piece is skipped when its
+    product has no nonzero entry, which skips every piece the scan would
+    have skipped, catches underflow too, and lets NaN or inf data, which
+    blocks the scan, still propagate.
 
     In a sequence of fields (norm_values_seq), a shell or low-pass piece
     whose multiplier is 0 at every position where the field's spectrum
@@ -237,12 +240,13 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
     The fields are read one at a time, so a generator streams them, and the
     previous field's spectrum is held only until the next one is compared
     with it, not while that one's pieces are built.  The positions where a
-    field's spectrum is nonzero, and those where it differs from the
-    previous field's, are found once per field.  The shell and low-pass
-    pieces whose multiplier is 0 at all of the first are skipped, and those
-    whose multiplier is 0 at all of the second carry their terms over (the
-    rules and why they are exact are given at norm_values).  Every row is
-    bit-identical to norm_values of that field alone.
+    field's spectrum is nonzero (for a field in Fourier form only), and
+    those where it differs from the previous field's, are found once per
+    field.  The shell and low-pass pieces whose multiplier is 0 at all of
+    the first are skipped, and those whose multiplier is 0 at all of the
+    second carry their terms over (the rules and why they are exact are
+    given at norm_values).  Every row is bit-identical to norm_values of
+    that field alone.
     """
     for spec in specs:
         if spec.family in _TRIEBEL and math.isinf(spec.p):
@@ -267,7 +271,7 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
             real = field.is_real
             data, inverse = _spectrum(to_fourier(field), real)
         zero = reuse = set()
-        if data is not None and cutoffs:
+        if not direct and cutoffs:
             zero = _unchanged_cutoffs(grid, data, 0, real, cutoffs)
         if before is not None and before_real == real:
             reuse = _unchanged_cutoffs(grid, data, before, real, reusable - zero)

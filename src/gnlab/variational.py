@@ -384,12 +384,18 @@ def monotone_along_rays(field: Field, tol: float = 1e-8) -> bool:
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 INITIAL_STEP = 1.0
 WINDOW = 10  # iterations over which the plateau test measures the decrease
+COARSE_POINTS = 2 ** 18  # minimize descends first on the m/2 grid from this many grid points
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
     """max_iters: an integer >= 1 (read exactly, see as_int); tol: a finite
-    real >= 0.  Either raises ValueError here, before any solving."""
+    real >= 0.  Either raises ValueError here, before any solving.
+
+    max_iters bounds each stage of a minimize solve: the coarse stage, which
+    runs on grids of COARSE_POINTS points or more when tol > 0 and stops at
+    the plateau test with sqrt(tol), and the stage on the caller's grid,
+    which stops with tol."""
 
     max_iters: int = 2000
     tol: float = 1e-9
@@ -414,11 +420,19 @@ class MinimizeResult:
     converged: bool
     iterations: int
     message: str = ""
+    coarse_iterations: int = 0
 
 
 class DivergenceError(RuntimeError):
     """Raised when the descent produces NaN or the line search cannot make
     progress while the gradient is still large."""
+
+
+def _clamped_resample(arr: np.ndarray, dst: Grid) -> np.ndarray:
+    """arr carried to dst by _resample and clamped at 0: the restriction and
+    the prolongation of the nested solvers, whose iterates are nonnegative."""
+    out = _resample(arr, dst)
+    return np.maximum(out, 0.0, out=out)
 
 
 def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
@@ -434,11 +448,39 @@ def minimize(u0: MultiField, params: EnergyParams, options: MinimizeOptions = Mi
     iteration.
     Terminates once the relative energy decrease over the trailing WINDOW
     iterations drops below tol.
+
+    On a grid of COARSE_POINTS points or more, and when tol > 0, the solve
+    is nested iteration: each component of u0 is restricted to the grid
+    with m/2 points per axis and the same box (_resample, clamped at 0),
+    descends there until the plateau test passes with sqrt(tol), and the
+    coarse minimizer, prolonged and clamped the same way, starts the descent
+    on the caller's grid with the caller's options.  max_iters bounds each
+    stage.  The coarse stage is only a warm start: if it raises
+    DivergenceError, the caller's grid starts from u0, as without the
+    stage.  iterations counts both stages and coarse_iterations the coarse
+    share (0 when no coarse stage ran); energy_trace, multipliers and
+    el_residual belong to the caller's grid.
     """
-    arrs, stats = _descend(u0.grid, u0.arrays(), u0.masses, params, options)
+    grid, masses = u0.grid, u0.masses
+    start = u0.arrays()
+    coarse_iterations = 0
+    if options.tol > 0 and grid.points_per_dim ** grid.n >= COARSE_POINTS:
+        coarse = Grid(grid.n, grid.points_per_dim // 2, grid.box_length)
+        restricted = [_clamped_resample(a, coarse) for a in start]
+        try:
+            coarse_arrs, stats = _descend(coarse, restricted, masses, params,
+                                          MinimizeOptions(options.max_iters, math.sqrt(options.tol)))
+        except DivergenceError:
+            pass
+        else:
+            start = [_clamped_resample(a, grid) for a in coarse_arrs]
+            coarse_iterations = stats[4]
+    arrs, stats = _descend(grid, start, masses, params, options)
     # _descend has returned, so its workspace is freed before these copies
-    u = MultiField(tuple(Field(u0.grid, Domain.PHYSICAL, a) for a in arrs), u0.masses)
-    return MinimizeResult(u, *stats)
+    u = MultiField(tuple(Field(grid, Domain.PHYSICAL, a) for a in arrs), masses)
+    trace, multipliers, residual, converged, iterations, message = stats
+    return MinimizeResult(u, trace, multipliers, residual, converged, iterations + coarse_iterations,
+                          message, coarse_iterations)
 
 
 def _descend(grid: Grid, arrs0: Sequence[np.ndarray], masses: Sequence[float], params: EnergyParams,
@@ -620,9 +662,9 @@ def estimate_cstar(
     climbs = starts
     if grid.points_per_dim >= COARSE_FLOOR:
         coarse = Grid(n, grid.points_per_dim // 2, grid.box_length)
-        restricted = [np.maximum(_resample(arr, coarse), 0.0) for arr in starts]
+        restricted = [_clamped_resample(arr, coarse) for arr in starts]
         coarse_value, coarse_arr = _ascend(coarse, params, restricted, max_iters)
-        climbs = [np.maximum(_resample(coarse_arr, grid), 0.0)]
+        climbs = [_clamped_resample(coarse_arr, grid)]
     value, best_arr = _ascend(grid, params, climbs, max_iters)
     return CStarEstimate(value, Field(grid, Domain.PHYSICAL, best_arr), len(starts), coarse_value)
 

@@ -440,6 +440,24 @@ class TestZeroPieces:
             some = self.SPECS[::5]  # the four shell families and a Sobolev spec; q = 0.5, 2, inf
             assert [values[self.SPECS.index(spec)] for spec in some] == [_no_skip_value(f, spec) for spec in some]
 
+    def test_zero_scan_only_in_fourier_form(self, monkeypatch):
+        """The zero rule scans a spectrum for its nonzero positions only when
+        the field is given in Fourier form: a physical field's spectrum is
+        computed and dense.  A physical 64^3 field makes no scan, and its
+        values are those of the no-skip loop."""
+        from gnlab import norms
+
+        scans = []
+        unchanged = norms._unchanged_cutoffs
+        monkeypatch.setattr(norms, "_unchanged_cutoffs",
+                            lambda g, data, before, *rest: scans.append(before) or unchanged(g, data, before, *rest))
+        hat = random_band_limited(make_grid(3, 64, 4 * math.pi), 1, 2, seed=4)
+        some = self.SPECS[::10]  # two Besov specs and an inhomogeneous Triebel one
+        for f, scanned in ((to_physical(hat), []), (hat, [0])):
+            scans.clear()
+            assert norm_values(f, some) == [_no_skip_value(f, spec) for spec in some]
+            assert scans == scanned
+
     @pytest.mark.parametrize("n,m", [(1, 1024), (3, 32)])
     def test_one_inverse_per_nonzero_piece(self, n, m, monkeypatch):
         from gnlab.norms import _IDENTITY, _pieces

@@ -382,16 +382,19 @@ class TestPinnedOutputs:
         assert got == self.MINIMIZE[start]
         assert len(calls) == self.REARRANGES[start]
 
-    # c08's problem on 64^3 from the Gaussian, six iterations: the grid from
-    # which spectral pairs independent transforms on two threads
+    # c08's problem on 64^3 from the Gaussian at max_iters=6: the grid from
+    # which spectral pairs independent transforms on two threads, and from
+    # which minimize descends first on 32^3.  So the solve makes 6 steps on
+    # 32^3 and 6 on 64^3: iterations counts both, and the trace, multipliers
+    # and residual are the 64^3 stage's.
     MINIMIZE_64 = (
-        6,
-        ["-0x1.29db65ae284fap-4", "-0x1.390ee208058e0p-4", "-0x1.3c6a18a71b56cp-4",
-         "-0x1.3d9eaa93fdd74p-4", "-0x1.3e45c27c9dcd2p-4", "-0x1.3eb1177a4b33ap-4",
-         "-0x1.3ef9147180cb8p-4"],
-        ["0x1.6c988fabbad35p-1"],
-        "0x1.68dcd0358953ap-7",
-        "db9f268b7c137e939be5c7de92b0021beffc6c48044605ffec7501da8a46e583",
+        12,
+        ["-0x1.3ef91471a64bep-4", "-0x1.3f29a5cc9f1d2p-4", "-0x1.3f4a56312a1acp-4",
+         "-0x1.3f6042c314506p-4", "-0x1.3f6eeb02a35a8p-4", "-0x1.3f78b0e0afbf0p-4",
+         "-0x1.3f7f316792738p-4"],
+        ["0x1.74acfdc50879dp-1"],
+        "0x1.ace6fc0764489p-9",
+        "f5bd2cc1a860718f365b11feefbbefeaaec04633d56cba3e810bd348899d1a74",
     )
 
     def test_short_minimize_64(self):
@@ -668,6 +671,76 @@ class TestMinimize:
         bad = Field(grid, Domain.PHYSICAL, np.full(64, np.nan))
         with pytest.raises((DivergenceError, ValueError)):
             minimize(MultiField((bad,), (1.0,)), params)
+
+
+class TestNestedMinimize:
+    """minimize descends first on the m/2 grid, to the plateau at sqrt(tol),
+    on grids of COARSE_POINTS points or more and when tol > 0."""
+
+    C08 = EnergyParams(s=1.0, m2=0.0, beta=2.0, G=sum_squares())
+
+    @staticmethod
+    def c08_start():
+        return MultiField((gaussian(make_grid(3, 64, 20.0), 2.0),), (1.0,))
+
+    @staticmethod
+    def counted_grids(monkeypatch, raise_on=None):
+        """The points per axis of every _descend call, which raises
+        DivergenceError on a grid of raise_on points per axis."""
+        grids = []
+        descend = variational._descend
+
+        def counted(grid, *args):
+            grids.append(grid.points_per_dim)
+            if grid.points_per_dim == raise_on:
+                raise DivergenceError("injected")
+            return descend(grid, *args)
+
+        monkeypatch.setattr(variational, "_descend", counted)
+        return grids
+
+    @staticmethod
+    def bits(res):
+        return (res.iterations, [e.hex() for e in res.energy_trace], [m.hex() for m in res.multipliers],
+                res.el_residual.hex(), res.converged, res.message, res.u_final.arrays()[0].tobytes())
+
+    def test_c08_against_direct_descent(self):
+        u0 = self.c08_start()
+        options = MinimizeOptions(max_iters=800, tol=1e-10)
+        res = minimize(u0, self.C08, options)
+        _, (trace, _, _, converged, iterations, _) = variational._descend(
+            u0.grid, u0.arrays(), u0.masses, self.C08, options)
+        assert res.converged and converged and res.message == "energy plateau"
+        assert res.energy_trace[-1] == pytest.approx(trace[-1], rel=1e-12, abs=0)
+        assert abs(res.iterations - iterations) <= 2
+        assert 0 < res.coarse_iterations < res.iterations
+        assert len(res.energy_trace) == res.iterations - res.coarse_iterations + 1
+
+    @pytest.mark.parametrize("case", ["tol 0", "coarse divergence"])
+    def test_direct_bits_without_a_coarse_stage(self, case, monkeypatch):
+        """With tol 0 no coarse stage runs; when it raises DivergenceError
+        the caller's grid starts from u0.  Either way the result is the
+        direct descent's, bit for bit."""
+        u0 = self.c08_start()
+        options = MinimizeOptions(max_iters=3, tol=0.0 if case == "tol 0" else 1e-10)
+        arrs, stats = variational._descend(u0.grid, u0.arrays(), u0.masses, self.C08, options)
+        direct = variational.MinimizeResult(MultiField((Field(u0.grid, Domain.PHYSICAL, arrs[0]),), u0.masses),
+                                            *stats)
+        grids = self.counted_grids(monkeypatch, raise_on=32)
+        res = minimize(u0, self.C08, options)
+        assert grids == ([64] if case == "tol 0" else [32, 64])
+        assert res.coarse_iterations == 0
+        assert self.bits(res) == self.bits(direct)
+
+    @pytest.mark.parametrize("n,m,coarse", [(1, 2 ** 18, True), (1, 2 ** 17, False), (3, 32, False)])
+    def test_gate_is_a_point_count(self, n, m, coarse, monkeypatch):
+        grid = make_grid(n, m, 16.0)
+        params = EnergyParams(s=1.0, m2=1.0, beta=0.5, G=sum_squares())
+        grids = self.counted_grids(monkeypatch)
+        res = minimize(MultiField((gaussian(grid, 2.0),), (1.0,)), params, MinimizeOptions(max_iters=2))
+        assert grids == ([m // 2, m] if coarse else [m])
+        assert res.coarse_iterations == (2 if coarse else 0)
+        assert res.iterations == res.coarse_iterations + 2
 
 
 class TestCStar:
