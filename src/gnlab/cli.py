@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -83,22 +82,12 @@ def canonical_json(obj) -> str:
 
 
 def _write(path, text: str) -> None:
-    """Write `text` atomically to `path`, or to stdout when `path` is None
-    or empty."""
-    if not path:
+    """Write `text` atomically to `path` (fieldio.write_atomic), or to
+    stdout when `path` is None or empty."""
+    if path:
+        fieldio.write_atomic(path, text)
+    else:
         sys.stdout.write(text)
-        return
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def emit(args, payload: dict) -> None:

@@ -1,4 +1,4 @@
-"""GNF1 field files.
+"""GNF1 field files, and the one writer of every output file.
 
 Layout: 8-byte magic "GNFIELD1", little-endian uint32 header length, JSON
 header {"n", "points_per_dim", "box_length", "domain", "dtype"}, then raw
@@ -7,7 +7,9 @@ little-endian complex128 samples in row-major order.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tempfile
 from pathlib import Path
 from typing import Union
 
@@ -19,6 +21,28 @@ from .spectral import Domain, Field, Grid
 MAGIC = b"GNFIELD1"
 
 
+def write_atomic(path: Union[str, Path], data: Union[str, bytes, bytearray]) -> None:
+    """Write text or bytes to `path` atomically, creating its missing parent
+    directories: the data goes to a temporary file beside `path`, which then
+    replaces it, so a reader sees the old file or the whole new one, and a
+    failed write leaves neither a partial file nor the temporary one.  The
+    file gets the permissions open() would give it, not mkstemp's 0600."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_gnf(path: Union[str, Path], field: Field) -> None:
     header = {
         "n": field.grid.n,
@@ -28,12 +52,9 @@ def write_gnf(path: Union[str, Path], field: Field) -> None:
         "dtype": "c128",
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    data = np.ascontiguousarray(field.data, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(data.tobytes())
+    out = bytearray(MAGIC + struct.pack("<I", len(blob)) + blob)
+    out += memoryview(np.ascontiguousarray(field.data, dtype="<c16")).cast("B")
+    write_atomic(path, out)
 
 
 def read_gnf(path: Union[str, Path]) -> Field:

@@ -184,36 +184,29 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     Triebel specs take the L^p norm of the pointwise l^q aggregate of their
     weighted pieces.  Each value equals its one-spec value exactly.
 
-    A piece whose spectrum is all zero (a shell outside a band-limited
-    field's band) is skipped before its inverse transform.  That is exact:
-    its L^p norm is 0, which adds 0 to an l^q sum (any q, the max for
-    q = inf, all terms being nonnegative), and its pointwise terms add 0 to
-    a Triebel aggregate or leave its max unchanged.  For a field given in
-    Fourier form, a shell or low-pass piece is skipped before its
-    multiplier is built when that multiplier is 0 at every position where
-    the spectrum is nonzero, provided the data there is finite: the piece
-    is then finite data times 0 and 0 times a cutoff value, all zero.  That
-    is the carry rule below with the zero spectrum as the previous field.
-    A physical field's spectrum is computed, nonzero almost everywhere, so
-    that scan is not made for it.  Any other piece is skipped when its
-    product has no nonzero entry, which skips every piece the scan would
-    have skipped, catches underflow too, and lets NaN or inf data, which
-    blocks the scan, still propagate.
-
-    In a sequence of fields (norm_values_seq), a shell or low-pass piece
-    whose multiplier is 0 at every position where the field's spectrum
-    differs (!=) from the previous field's takes that field's weighted L^p
-    terms instead of an inverse transform.  That is exact: the two pieces
-    agree wherever the spectra agree, and at a changed position both are
-    finite data times 0, a signed zero.  An inverse transform is a fixed
-    sequence of sums and products, in which the sign of a zero input can
-    only change the sign of a zero result, and |.| drops it, so equal
-    pieces give equal terms.  The rule reads the data alone.  It carries
-    nothing when a datum at a changed position is not finite, before or
-    after (NaN * 0 is NaN, and NaN propagates), nothing for the identity
-    and symbol keys, nothing for a key that a Triebel spec names (its
-    pointwise aggregate is not kept), and nothing into a field with no
-    predecessor or whose realness differs from its predecessor's.  This
+    One rule decides which shell and low-pass pieces are built: a piece is
+    carried, not built, from the field's predecessor when its multiplier is
+    0 at every position where the spectrum differs (!=) from the
+    predecessor's.  In a sequence (norm_values_seq) the predecessor is the
+    previous field when both have the same realness.  A field in Fourier
+    form with no such predecessor, as a single field is, follows the zero
+    spectrum, every piece of which is zero and has no terms; a physical
+    field has none then, its spectrum being computed and nonzero almost
+    everywhere.  A carried piece takes the predecessor's weighted L^p terms
+    instead of a multiplier and an inverse transform.  That is exact: the
+    two pieces agree wherever the spectra agree, and at a changed position
+    both are finite data times 0, a signed zero.  An inverse transform is a
+    fixed sequence of sums and products, in which the sign of a zero input
+    can only change the sign of a zero result, and |.| drops it, so equal
+    pieces give equal terms.  A zero piece has none to carry: its L^p norm
+    would add 0 to an l^q sum (any q, the max for q = inf, all terms being
+    nonnegative), and its pointwise terms 0 to a Triebel aggregate.  So a
+    shell outside a band-limited field's band costs neither a multiplier
+    nor a transform.  The rule reads the data alone.  It carries nothing
+    when a datum at a changed position is not finite, before or after
+    (NaN * 0 is NaN, and NaN propagates), nothing for the identity and
+    symbol keys, and for a key that a Triebel spec names only a zero piece,
+    from the zero spectrum on: its pointwise aggregate is not kept.  This
     function is the one-field case.
     """
     return norm_values_seq([field], specs)[0]
@@ -240,13 +233,11 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
     The fields are read one at a time, so a generator streams them, and the
     previous field's spectrum is held only until the next one is compared
     with it, not while that one's pieces are built.  The positions where a
-    field's spectrum is nonzero (for a field in Fourier form only), and
-    those where it differs from the previous field's, are found once per
-    field.  The shell and low-pass pieces whose multiplier is 0 at all of
-    the first are skipped, and those whose multiplier is 0 at all of the
-    second carry their terms over (the rules and why they are exact are
-    given at norm_values).  Every row is bit-identical to norm_values of
-    that field alone.
+    field's spectrum differs from its predecessor's (the previous field's,
+    or for a field in Fourier form the zero spectrum; see norm_values) are
+    found once per field, and the shell and low-pass pieces whose
+    multiplier is 0 at all of them carry the predecessor's terms.  Every
+    row is bit-identical to norm_values of that field alone.
     """
     for spec in specs:
         if spec.family in _TRIEBEL and math.isinf(spec.p):
@@ -270,20 +261,16 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
         if not direct or set(keys) - {_IDENTITY}:
             real = field.is_real
             data, inverse = _spectrum(to_fourier(field), real)
-        zero = reuse = set()
-        if not direct and cutoffs:
-            zero = _unchanged_cutoffs(grid, data, 0, real, cutoffs)
-        if before is not None and before_real == real:
-            reuse = _unchanged_cutoffs(grid, data, before, real, reusable - zero)
+        if before is None or before_real != real:  # no comparable predecessor
+            before, carried = (None, {}) if direct else (0, dict.fromkeys(cutoffs, {}))
+        reuse = _unchanged_cutoffs(grid, data, before, real, carried) if carried else set()
         before = None
-        kept = {}  # reusable key -> {spec index: weighted L^p term}
+        kept = {}  # carryable key -> {spec index: weighted L^p term}
         terms: List[List[float]] = [[] for _ in specs]
         aggs = [np.zeros(grid.shape) if spec.family in _TRIEBEL else None for spec in specs]
         for key in keys:
             if key in reuse:
                 found = carried[key]
-            elif key in zero:
-                found = {}  # its piece is all zero: skipped before its multiplier is built
             else:
                 found = {}
                 if key is _IDENTITY and direct:
@@ -295,27 +282,24 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
                         piece = data * _cutoff(grid, key, half=real)
                     else:
                         piece = data * symbol_values(grid, key, half=real)
-                    mag = None  # an all-zero piece adds 0 to every sum and every aggregate
-                    if piece.any():
-                        piece = inverse(piece)
-                        piece /= w
-                        mag = np.abs(piece)
+                    piece = inverse(piece)
+                    piece /= w
+                    mag = np.abs(piece)
                     del piece
-                if mag is not None:
-                    for i, spec in enumerate(specs):
-                        weight = pieces[i].get(key)
-                        if weight is None:
-                            continue
-                        if aggs[i] is None:
-                            found[i] = weight * _lp(mag, spec.p, w)
-                        elif math.isinf(spec.q):
-                            aggs[i] = np.maximum(aggs[i], mag * weight)
-                        else:
-                            aggs[i] += (mag * weight) ** spec.q
-                    del mag
+                for i, spec in enumerate(specs):
+                    weight = pieces[i].get(key)
+                    if weight is None:
+                        continue
+                    if aggs[i] is None:
+                        found[i] = weight * _lp(mag, spec.p, w)
+                    elif math.isinf(spec.q):
+                        aggs[i] = np.maximum(aggs[i], mag * weight)
+                    else:
+                        aggs[i] += (mag * weight) ** spec.q
+                del mag
             for i, term in found.items():
                 terms[i].append(term)
-            if key in reusable:
+            if key in reusable or key in reuse:
                 kept[key] = found
         values = []
         for spec, spec_terms, agg in zip(specs, terms, aggs):

@@ -102,7 +102,7 @@ class Grid:
 
     def freq_radius(self) -> np.ndarray:
         """|xi| on the full lattice, shape == grid.shape."""
-        return _freq_radius(self.n, self.points_per_dim, self.box_length)
+        return _freq_radius(self)
 
     @property
     def half_shape(self) -> Tuple[int, ...]:
@@ -111,7 +111,7 @@ class Grid:
 
     def coord_radius2(self) -> np.ndarray:
         """|x|^2 on the full lattice (FFT layout)."""
-        return _coord_radius2(self.n, self.points_per_dim, self.box_length)
+        return _coord_radius2(self)
 
 
 @lru_cache(maxsize=32)
@@ -146,15 +146,15 @@ def _radius2(axes) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _freq_radius(n: int, m: int, length: float) -> np.ndarray:
-    r = np.sqrt(_radius2([_axis_freqs(m, length)] * n))
+def _freq_radius(grid: Grid) -> np.ndarray:
+    r = np.sqrt(_radius2([grid.axis_freqs()] * grid.n))
     r.flags.writeable = False
     return r
 
 
 @lru_cache(maxsize=16)
-def _coord_radius2(n: int, m: int, length: float) -> np.ndarray:
-    r2 = _radius2([_axis_coords(m, length)] * n)
+def _coord_radius2(grid: Grid) -> np.ndarray:
+    r2 = _radius2([grid.axis_coords()] * grid.n)
     r2.flags.writeable = False
     return r2
 
@@ -316,10 +316,12 @@ def transform(field: Field, direction: Domain) -> Field:
     if field.domain == direction:
         raise ValueError(f"field already in {direction.value} domain")
     w = field.grid.quadrature_weight
+    out = np.empty(field.grid.shape, np.complex128)  # every axis pass writes here
     if direction is Domain.FOURIER:
-        out = np.fft.fftn(field.data) * w
+        np.multiply(np.fft.fftn(field.data, out=out), w, out=out)
     else:
-        out = np.fft.ifftn(field.data) / w
+        np.divide(np.fft.ifftn(field.data, out=out), w, out=out)
+    out.flags.writeable = False  # so Field keeps it without a copy
     return Field(field.grid, direction, out)
 
 
@@ -358,7 +360,7 @@ def phi(t: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _radius_levels(grid: Grid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct lattice radii and, per lattice point, the index of its radius,
     on the full lattice and on the half lattice [..., :m//2 + 1].
 
@@ -366,9 +368,9 @@ def _radius_levels(n: int, m: int, length: float) -> Tuple[np.ndarray, np.ndarra
     back (_radial); they are elementwise, so this is bit-identical to evaluating
     them on the full radius array.
     """
-    levels, inverse = np.unique(_freq_radius(n, m, length), return_inverse=True)
-    inverse = inverse.astype(np.int32).reshape((m,) * n)
-    half = np.ascontiguousarray(inverse[..., : m // 2 + 1])
+    levels, inverse = np.unique(grid.freq_radius(), return_inverse=True)
+    inverse = inverse.astype(np.int32).reshape(grid.shape)
+    half = np.ascontiguousarray(inverse[..., : grid.points_per_dim // 2 + 1])
     for arr in (levels, inverse, half):
         arr.flags.writeable = False
     return levels, inverse, half
@@ -394,7 +396,7 @@ def _annulus(grid: Grid, k_lo: int, k_hi: int) -> Tuple[np.ndarray, np.ndarray]:
 def _radial(grid: Grid, fn, half: bool = False) -> np.ndarray:
     """fn(|xi|), evaluated on the distinct radii of _radius_levels and gathered
     onto the full lattice or the half lattice [..., :m//2 + 1]."""
-    levels, inverse, half_inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
+    levels, inverse, half_inverse = _radius_levels(grid)
     return fn(levels)[half_inverse if half else inverse]
 
 
@@ -403,7 +405,7 @@ def _radii_at(grid: Grid, flat: np.ndarray, half: bool) -> np.ndarray:
     lattice, or of the half lattice [..., :m//2 + 1]: the _radius_levels
     levels they index, so a radial multiplier's profile evaluated on them
     gives the multiplier's values there bit for bit."""
-    levels, inverse, half_inverse = _radius_levels(grid.n, grid.points_per_dim, grid.box_length)
+    levels, inverse, half_inverse = _radius_levels(grid)
     hit = np.zeros(levels.size, dtype=bool)  # a table, not np.unique: no sort
     hit[(half_inverse if half else inverse).ravel()[flat]] = True
     return levels[hit]

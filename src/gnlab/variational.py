@@ -328,10 +328,9 @@ def project_spheres(u: MultiField) -> MultiField:
 
 
 @lru_cache(maxsize=16)
-def _radial_order(n: int, m: int, length: float) -> np.ndarray:
-    grid = Grid(n, m, length)
+def _radial_order(grid: Grid) -> np.ndarray:
     r2 = grid.coord_radius2().ravel()
-    axes = [np.broadcast_to(a, grid.shape).ravel() for a in _mesh([grid.axis_coords()] * n)]
+    axes = [np.broadcast_to(a, grid.shape).ravel() for a in _mesh([grid.axis_coords()] * grid.n)]
     keys = tuple(reversed(axes)) + (r2,)
     order = np.lexsort(keys)
     order.flags.writeable = False
@@ -340,7 +339,7 @@ def _radial_order(n: int, m: int, length: float) -> np.ndarray:
 
 def _rearrange(grid: Grid, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
     vals = np.sort(np.abs(arr).ravel())[::-1]
-    order = _radial_order(grid.n, grid.points_per_dim, grid.box_length)
+    order = _radial_order(grid)
     out.reshape(-1)[order] = vals
     return out
 

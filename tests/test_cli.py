@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import types
@@ -146,6 +147,35 @@ class TestFieldCommands:
              "--k-lo", "2", "--k-hi", "4", "--seed", "7", "--output", str(r2)],
         )
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_nested_gnf_output(self, tmp_path):
+        """A GNF --output, like a JSON one, creates its missing directories,
+        leaves no temporary file beside the field, and gets the permissions
+        a plain open() gives, not the temporary file's 0600."""
+        out = tmp_path / "sub" / "dir" / "g.gnf"
+        proc = run_cli(["gaussian", "--n", "1", "--points", "64", "--box-length", "8",
+                        "--width", "0.6", "--output", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert read_gnf(out).grid.points_per_dim == 64
+        assert [p.name for p in out.parent.iterdir()] == ["g.gnf"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_gnf_write_leaves_nothing(self, tmp_path, monkeypatch):
+        """A write that fails before its file is in place exits 2 and leaves
+        neither the field nor the temporary file."""
+        from gnlab import fieldio
+
+        def refuse(src, dst):
+            raise OSError("refused")
+
+        monkeypatch.setattr(fieldio.os, "replace", refuse)
+        out = tmp_path / "sub" / "g.gnf"
+        proc = run_cli(["gaussian", "--n", "1", "--points", "64", "--box-length", "8",
+                        "--width", "0.6", "--output", str(out)])
+        assert proc.returncode == 2 and "refused" in proc.stderr
+        assert list(out.parent.iterdir()) == []
 
     def test_random_seed_range(self, tmp_path):
         """A negative seed is an input error (exit 2) that writes nothing; a

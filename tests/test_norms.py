@@ -341,8 +341,8 @@ class TestNormValues:
 
 def _no_skip_value(f, spec):
     """One spec's value with every piece inverted, zero or not: the piece
-    loop of norm_values restated without its zero-piece skip, through the
-    same half-spectrum or full-spectrum inverse."""
+    loop of norm_values restated without its carry rule, through the same
+    half-spectrum or full-spectrum inverse."""
     from gnlab.norms import _lp, _lq_reduce, _pieces
     from gnlab.spectral import _cutoff, _spectrum, symbol_values
 
@@ -373,8 +373,9 @@ def _no_skip_value(f, spec):
 
 
 class TestZeroPieces:
-    """A piece with an all-zero spectrum is skipped before its inverse
-    transform, and the values stay bit-identical."""
+    """A shell or low-pass piece that is zero on a Fourier-form field's
+    spectrum is carried from the zero spectrum, with no multiplier and no
+    inverse transform, and the values stay bit-identical."""
 
     SPECS = [
         NormSpec(family, s, p, q)
@@ -418,7 +419,9 @@ class TestZeroPieces:
         """A one-bump 64^3 train lies where a single shell's cutoff is 1 and
         every other cutoff is 0, and a random field on [2, 4] meets two
         shells: only the multipliers of those shells are built, once each,
-        and the values are those of the no-skip loop."""
+        and the values are those of the no-skip loop.  In the sequence
+        [skew, hat] the realness changes, so hat follows the zero spectrum,
+        not skew, and again builds only the multipliers of its own band."""
         from gnlab import norms
         from gnlab.norms import _IDENTITY, _pieces
         from gnlab.testfuncs import FamilyKind, LacunaryFamily, build_family
@@ -439,12 +442,27 @@ class TestZeroPieces:
             assert sorted(built) == meets
             some = self.SPECS[::5]  # the four shell families and a Sobolev spec; q = 0.5, 2, inf
             assert [values[self.SPECS.index(spec)] for spec in some] == [_no_skip_value(f, spec) for spec in some]
+        hat = random_band_limited(g, 1, 2, seed=4)
+        skew = Field(hat.grid, hat.domain, hat.data * (1.0 + 0.5j))
+        assert hat.is_real and not skew.is_real
+        per_field = []
 
-    def test_zero_scan_only_in_fourier_form(self, monkeypatch):
-        """The zero rule scans a spectrum for its nonzero positions only when
-        the field is given in Fourier form: a physical field's spectrum is
-        computed and dense.  A physical 64^3 field makes no scan, and its
-        values are those of the no-skip loop."""
+        def stream():
+            for f in (skew, hat):
+                built.clear()
+                yield f
+                per_field.append(list(built))  # in piece order
+
+        rows = norm_values_seq(stream(), self.SPECS)
+        assert per_field == [[1, 2], [1, 2]]
+        assert rows == [norm_values(skew, self.SPECS), norm_values(hat, self.SPECS)]
+
+    def test_only_fourier_form_follows_the_zero_spectrum(self, monkeypatch):
+        """A field with no predecessor is compared with the zero spectrum,
+        for its nonzero positions, only when it is given in Fourier form: a
+        physical field's spectrum is computed and dense.  A physical 64^3
+        field makes no comparison, and its values are those of the no-skip
+        loop."""
         from gnlab import norms
 
         scans = []

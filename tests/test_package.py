@@ -208,6 +208,45 @@ def test_no_hidden_settings_or_home_writes():
     assert offenders == []
 
 
+def _opens_for_writing(node) -> bool:
+    """Whether a call may open a file for writing: open, io.open or
+    os.fdopen with a mode that is not a literal free of w, a, x and +,
+    Path.open likewise, Path.write_text or write_bytes, os.open, or a
+    tempfile constructor."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    owner = getattr(getattr(node.func, "value", None), "id", None)
+    if name in ("write_text", "write_bytes", "mkstemp", "NamedTemporaryFile",
+                "TemporaryFile", "SpooledTemporaryFile") or (name, owner) == ("open", "os"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+    position = 0 if name == "open" and owner not in (None, "io") else 1  # Path.open(mode)
+    if mode is None and len(node.args) > position:
+        mode = node.args[position]
+    if mode is None:
+        return False  # read-only by default
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return bool(set(mode.value) & set("wax+"))
+    return True
+
+
+def test_only_the_atomic_writer_opens_files_for_writing():
+    """fieldio.write_atomic is the one place gnlab opens a file for
+    writing, so every output file, text or GNF, is written atomically
+    and its missing directories are created."""
+    writers = {
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if _opens_for_writing(node)
+    }
+    assert writers == {"fieldio.write_atomic"}
+
+
 def test_transforms_only_in_spectral():
     """Every FFT goes through spectral (transform, _rfftn, _irfftn), so no
     other module of gnlab names numpy.fft, by attribute or by import."""

@@ -396,6 +396,23 @@ class TestFieldData:
         assert not f.data.flags.writeable
         assert arr.flags.writeable
 
+    def test_transforms_allocate_one_complex_array(self):
+        """to_fourier and to_physical of a 64^3 field run every axis pass
+        into one array and hand it to Field read-only: no second copy."""
+        import tracemalloc
+
+        g = make_grid(3, 64, 8.0)
+        f = Field(g, Domain.PHYSICAL, np.random.default_rng(0).random(g.shape))
+        for src, fn in ((f, to_fourier), (to_fourier(f), to_physical)):
+            tracemalloc.start()
+            try:
+                out = fn(src)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.data.nbytes <= peak < 1.5 * out.data.nbytes
+            assert not out.data.flags.writeable
+
     def test_writeable_complex_input_is_copied(self):
         g = make_grid(1, 16, 8.0)
         arr = np.ones(16, dtype=complex)
