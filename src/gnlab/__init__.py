@@ -59,4 +59,4 @@ from .variational import (
     upsilon_beta,
 )
 
-__version__ = "0.1.5"
+__version__ = "0.1.6"

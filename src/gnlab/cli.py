@@ -27,7 +27,7 @@ from .norms import NormFamily, NormSpec, compute_norm
 from .rational import as_exact, as_fraction, as_int, format_rational
 from .regression import run_regression, section_slope
 from .spectral import Domain, Field, Grid, make_grid
-from .testfuncs import FamilyKind, LacunaryFamily, build_family, gaussian, random_band_limited
+from .testfuncs import FamilyKind, LacunaryFamily, _gaussian_samples, build_family, gaussian, random_band_limited
 from .variational import (
     EnergyParams,
     MinimizeOptions,
@@ -297,8 +297,7 @@ def cmd_minimize(args) -> int:
     if initial:
         comps = tuple(fieldio.read_gnf(p) for p in initial)
     else:
-        width = grid.box_length / 8.0
-        data = np.exp(-grid.coord_radius2() / (2.0 * width ** 2))
+        data = _gaussian_samples(grid, grid.box_length / 8.0)
         comps = tuple(Field(grid, Domain.PHYSICAL, data) for _ in masses)
     u0 = MultiField(comps, tuple(masses))
     opts = MinimizeOptions(**cfg.get("options", {}))

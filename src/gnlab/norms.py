@@ -25,6 +25,7 @@ from .spectral import (
     _cutoff,
     _cutoff_vanishes,
     _radii_at,
+    _samples,
     _spectrum,
     symbol_values,
     to_fourier,
@@ -177,8 +178,8 @@ def norm_values(field: Field, specs: Sequence[NormSpec]) -> List[float]:
     piece is built once, for every spec that names it, by one inverse
     transform after one forward transform (none for a field in Fourier
     form), and freed before the next.  A real field (see Field.is_real) is
-    inverted from its half spectrum by irfftn, a complex one from its full
-    spectrum by ifftn.  The Lebesgue piece of a physical field is |f|, with
+    inverted from its half spectrum, a complex one from its full spectrum,
+    by spectral._samples.  The Lebesgue piece of a physical field is |f|, with
     no transform.  Besov, Lebesgue and Sobolev specs take the l^q sum of
     their weighted L^p piece norms (q = inf for the one-piece families);
     Triebel specs take the L^p norm of the pointwise l^q aggregate of their
@@ -260,7 +261,7 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
         real = data = None
         if not direct or set(keys) - {_IDENTITY}:
             real = field.is_real
-            data, inverse = _spectrum(to_fourier(field), real)
+            data = _spectrum(to_fourier(field), real)
         if before is None or before_real != real:  # no comparable predecessor
             before, carried = (None, {}) if direct else (0, dict.fromkeys(cutoffs, {}))
         reuse = _unchanged_cutoffs(grid, data, before, real, carried) if carried else set()
@@ -275,17 +276,11 @@ def norm_values_seq(fields: Iterable[Field], specs: Sequence[NormSpec]) -> List[
                 found = {}
                 if key is _IDENTITY and direct:
                     mag = np.abs(field.data)
+                elif key is _IDENTITY:
+                    mag = np.abs(_samples(grid, data))
                 else:
-                    if key is _IDENTITY:
-                        piece = data.copy() if real else data  # the real inverse consumes its input
-                    elif key is None or isinstance(key, int):
-                        piece = data * _cutoff(grid, key, half=real)
-                    else:
-                        piece = data * symbol_values(grid, key, half=real)
-                    piece = inverse(piece)
-                    piece /= w
-                    mag = np.abs(piece)
-                    del piece
+                    multiplier = _cutoff if key is None or isinstance(key, int) else symbol_values
+                    mag = np.abs(_samples(grid, data * multiplier(grid, key, half=real)))
                 for i, spec in enumerate(specs):
                     weight = pieces[i].get(key)
                     if weight is None:

@@ -26,7 +26,7 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -287,13 +287,26 @@ def _resample(arr: np.ndarray, dst: Grid) -> np.ndarray:
     return _irfftn(dst, half)
 
 
-def _spectrum(hat: Field, real: bool):
-    """(data, inverse) for inverting the Fourier field hat: its half spectrum
-    (the rest is its Hermitian mirror) and irfftn if it is real, its full
-    spectrum and ifftn otherwise.  Neither divides by the quadrature weight."""
-    if real:
-        return hat.data[..., : hat.grid.points_per_dim // 2 + 1], partial(_irfftn, hat.grid)
-    return hat.data, np.fft.ifftn
+def _spectrum(hat: Field, real: bool) -> np.ndarray:
+    """The data _samples inverts for the Fourier field hat: its half spectrum
+    [..., :m//2 + 1] if it is real (the rest is its Hermitian mirror), its
+    full spectrum otherwise."""
+    return hat.data[..., : hat.grid.points_per_dim // 2 + 1] if real else hat.data
+
+
+def _samples(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
+    """Physical samples of a spectrum in _spectrum's layout: irfftn of a half
+    spectrum, ifftn in place of a full one, divided by the quadrature
+    weight.  A writable spectrum is consumed (it holds a partial transform,
+    or the samples themselves, afterwards); a read-only one, such as a
+    Field's data, is copied first."""
+    work = spectrum if spectrum.flags.writeable else spectrum.copy()
+    if spectrum.shape == grid.shape:
+        samples = np.fft.ifftn(work, out=work)
+    else:
+        samples = _irfftn(grid, work)
+    samples /= grid.quadrature_weight
+    return samples
 
 
 def _form(grid: Grid, raw: np.ndarray, w: np.ndarray, work) -> float:
@@ -315,12 +328,11 @@ def transform(field: Field, direction: Domain) -> Field:
     """Transform to `direction`; errors if the field is already there."""
     if field.domain == direction:
         raise ValueError(f"field already in {direction.value} domain")
-    w = field.grid.quadrature_weight
-    out = np.empty(field.grid.shape, np.complex128)  # every axis pass writes here
     if direction is Domain.FOURIER:
-        np.multiply(np.fft.fftn(field.data, out=out), w, out=out)
-    else:
-        np.divide(np.fft.ifftn(field.data, out=out), w, out=out)
+        out = np.empty(field.grid.shape, np.complex128)  # every axis pass writes here
+        np.multiply(np.fft.fftn(field.data, out=out), field.grid.quadrature_weight, out=out)
+    else:  # the full spectrum, real field or not
+        out = _samples(field.grid, _spectrum(field, False))
     out.flags.writeable = False  # so Field keeps it without a copy
     return Field(field.grid, direction, out)
 

@@ -29,6 +29,7 @@ from .spectral import (
     _annulus,
     _mark_real,
     _radius2,
+    _samples,
     _spectrum,
     phi,
 )
@@ -194,20 +195,22 @@ def family_members(family: LacunaryFamily, grid: Grid, counts: Sequence[int]) ->
             yield _mark_real(member, False) if one_sided else member
 
 
-def gaussian(grid: Grid, width: float, center: Optional[Tuple[float, ...]] = None) -> Field:
-    """exp(-|x - center|^2 / (2 width^2)) sampled with periodic wrapping."""
-    if center is None:
-        center = (0.0,) * grid.n
-    if len(center) != grid.n:
-        raise ValueError(f"center has {len(center)} coordinates; the grid has n = {grid.n}")
+def gaussian(grid: Grid, width: float) -> Field:
+    """exp(-|x|^2 / (2 width^2)), centred at the origin and sampled with
+    periodic wrapping (the lattice's FFT layout)."""
     if not width >= 4.0 * grid.spacing:  # written so that NaN fails too
         raise ValueError("width must be at least 4 grid spacings")
     if not width <= grid.box_length / 8.0:
         raise ValueError("width must be at most box_length / 8")
-    L = grid.box_length
-    axis = grid.axis_coords()
-    r2 = _radius2([(axis - c + L / 2.0) % L - L / 2.0 for c in center])
-    return Field(grid, Domain.PHYSICAL, np.exp(-r2 / (2.0 * width ** 2)))
+    return Field(grid, Domain.PHYSICAL, _gaussian_samples(grid, width))
+
+
+def _gaussian_samples(grid: Grid, width: float) -> np.ndarray:
+    """The samples of gaussian(grid, width), for any width > 0.  |x|^2 is
+    built afresh, not read from Grid.coord_radius2's cache: a cache entry
+    filled while a solver sets up raised a 64^3 minimization's peak memory."""
+    r2 = _radius2([grid.axis_coords()] * grid.n)
+    return np.exp(-r2 / (2.0 * width ** 2))
 
 
 # SplitMix64 (Steele, Lea and Flood 2014): the golden-ratio gamma that
@@ -293,11 +296,10 @@ def random_band_limited(grid: Grid, k_lo: int, k_hi: int, seed: int) -> Field:
 def positive_random_field(grid: Grid, seed: int) -> Field:
     """Nonnegative physical field: |smooth random band-limited field| on the
     band [k_min, k_min + 2], cut at the top guard shell.  The band-limited
-    field is real, so it is inverted from its half spectrum by irfftn."""
+    field is real, so it is inverted from its half spectrum."""
     k_lo = grid.k_min
     # two shells wide so the annulus always meets the lattice
     k_hi = min(k_lo + 2, grid.shell_bounds[1])
-    half, inverse = _spectrum(random_band_limited(grid, k_lo, k_hi, seed), True)
-    base = inverse(half.copy())  # the real inverse consumes its input
-    base /= grid.quadrature_weight
+    half = _spectrum(random_band_limited(grid, k_lo, k_hi, seed), True)
+    base = _samples(grid, half)
     return Field(grid, Domain.PHYSICAL, np.abs(base, out=base))

@@ -41,7 +41,7 @@ from .spectral import (
     symbol_values,
     to_physical,
 )
-from .testfuncs import positive_random_field
+from .testfuncs import _gaussian_samples, positive_random_field
 
 NEGATIVE_TOLERANCE = -1e-12
 
@@ -616,14 +616,16 @@ def estimate_cstar(
     """Estimate of sup Upsilon(u) / (||u||_2^2 ||u||_{Hs}^2), s = (n - beta)/2,
     by multi-start normalized gradient ascent.
 
-    The starts are three Gaussians and one positive_random_field per seed,
-    built on grid.  Below COARSE_FLOOR points per axis every start climbs on
-    grid.  From it the ascent is nested: every start is restricted to the
-    m/2 grid (_resample, then clamped at 0) and climbs there, and the best
-    coarse argmax is prolonged to grid, clamped, and climbs once more.  The
-    coarse climbs carry almost all of the steps, on an eighth of the points
-    in 3D: c10's bench run on 32^3 makes 533 quotient evaluations on 16^3
-    and 109 on 32^3, where climbing every start on 32^3 made 1099 there.
+    The starts are three Gaussians, of widths L/8, L/12 and L/20 floored at
+    2 h, and one positive_random_field per seed, built on grid; a width
+    repeated at the floor climbs once, and `starts` still counts it.  Below
+    COARSE_FLOOR points per axis every start climbs on grid.  From it the
+    ascent is nested: every start is restricted to the m/2 grid (_resample,
+    then clamped at 0) and climbs there, and the best coarse argmax is
+    prolonged to grid, clamped, and climbs once more.  The coarse climbs
+    carry almost all of the steps, on an eighth of the points in 3D: c10's
+    bench run on 32^3 makes 533 quotient evaluations on 16^3 and 109 on
+    32^3, where climbing every start on 32^3 made 1099 there.
     max_iters bounds each climb: an integer >= 1 (read exactly, see
     as_int), or ValueError before any climbing.
 
@@ -649,13 +651,10 @@ def estimate_cstar(
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1; got {max_iters!r}")
     params = _critical(n, beta)
-    starts: List[np.ndarray] = []
-    r2 = grid.coord_radius2()
-    for frac in (8.0, 12.0, 20.0):
-        width = max(grid.box_length / frac, 2.0 * grid.spacing)
-        starts.append(np.exp(-r2 / (2.0 * width ** 2)))
-    for seed in seeds:
-        starts.append(positive_random_field(grid, seed).data.real)
+    widths = [max(grid.box_length / frac, 2.0 * grid.spacing) for frac in (8.0, 12.0, 20.0)]
+    # a width repeated at the 2 h floor would climb the same start again
+    starts = [_gaussian_samples(grid, width) for width in dict.fromkeys(widths)]
+    starts += [positive_random_field(grid, seed).data.real for seed in seeds]
 
     coarse_value = None
     climbs = starts
@@ -665,7 +664,7 @@ def estimate_cstar(
         coarse_value, coarse_arr = _ascend(coarse, params, restricted, max_iters)
         climbs = [_clamped_resample(coarse_arr, grid)]
     value, best_arr = _ascend(grid, params, climbs, max_iters)
-    return CStarEstimate(value, Field(grid, Domain.PHYSICAL, best_arr), len(starts), coarse_value)
+    return CStarEstimate(value, Field(grid, Domain.PHYSICAL, best_arr), len(widths) + len(seeds), coarse_value)
 
 
 def _ascend(grid: Grid, params: EnergyParams, starts: Sequence[np.ndarray],

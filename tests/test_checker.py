@@ -15,6 +15,7 @@ from gnlab.checker import (
     auto_check,
     check_besov,
     check_besov_sup,
+    check_by_rule,
     check_inhomogeneous,
     check_riesz,
     check_triebel,
@@ -154,6 +155,11 @@ class TestTriebelChecker:
         p = besov(1, "1/2", t(0, "inf", 2), t(0, 2), t(0, 2), Scale.HOMOG_TRIEBEL)
         assert check_triebel(p).status is Status.OUT_OF_SCOPE
 
+    def test_order_violation_fails_1_20(self):
+        p = besov(1, "1/2", t("1/2", 1, 2), t(1, 2), t(-1, 2), Scale.HOMOG_TRIEBEL)
+        v = check_triebel(p)
+        assert v.violated == ("1.20",) and v.residual == 0
+
 
 class TestRieszChecker:
     def test_ladyzhenskaya_holds(self):
@@ -188,6 +194,49 @@ class TestInhomogeneous:
     def test_mirror_of_riesz_holds(self):
         p = besov(2, "1/2", t(0, 4), t(0, 2), t(1, 2), Scale.INHOMOG_RIESZ)
         assert check_inhomogeneous(p).status is Status.HOLDS
+
+
+# Each checker's premises, one violated at a time: (checker, problem, note).
+OUT_OF_SCOPE = [
+    (check_besov, besov(3, "1/2", t(0, 4), t(-1, "inf"), t(1, 2), Scale.HOMOG_TRIEBEL),
+     "requires the HomogBesov scale"),
+    (check_besov_sup, besov(3, "1/2", t(0, "12/5", 1), t(0, 2), t("1/2", 2), Scale.RIESZ_POTENTIAL),
+     "requires the HomogBesov scale"),
+    (check_triebel, besov(1, "1/2", t(0, 2, 2), t(1, 2), t(-1, 2)), "requires the HomogTriebel scale"),
+    (check_triebel, besov(1, 1, t(0, 2, 2), t(1, 2), t(-1, 2), Scale.HOMOG_TRIEBEL),
+     "theta outside (0, 1)"),
+    (check_triebel, besov(1, "1/2", t(0, 2, 2), t(1, 2, 2), t(-1, 2), Scale.HOMOG_TRIEBEL),
+     "sources must carry q = inf"),
+    (check_riesz, besov(2, "1/2", t(0, 4), t(0, 2), t(1, 2)), "requires the RieszPotential scale"),
+    (check_riesz, besov(2, "3/2", t(0, 4), t(0, 2), t(1, 2), Scale.RIESZ_POTENTIAL),
+     "theta outside [0, 1]"),
+    (check_riesz, besov(2, "1/2", t(0, 4), t("1/2", 2), t(1, 2), Scale.RIESZ_POTENTIAL),
+     "source0 must be a Lebesgue space (s0 = 0)"),
+    (check_inhomogeneous, besov(2, "1/2", t(0, 4), t(0, 2), t(1, 2), Scale.RIESZ_POTENTIAL),
+     "requires an inhomogeneous scale"),
+    (check_inhomogeneous, besov(3, 1, t(0, "12/5", 1), t(0, 2), t("1/2", 2), Scale.INHOMOG_BESOV),
+     "sufficiency-only: failure of these conditions is not a disproof (theta outside (0, 1))"),
+]
+
+
+@pytest.mark.parametrize("check,p,note", OUT_OF_SCOPE,
+                         ids=[f"{check.__name__}-{i}" for i, (check, _, _) in enumerate(OUT_OF_SCOPE)])
+def test_out_of_scope_premises(check, p, note):
+    v = check(p)
+    assert (v.status, v.violated, v.note) == (Status.OUT_OF_SCOPE, (), note)
+
+
+class TestRouting:
+    def test_auto_check_routes_inhomogeneous_scales(self):
+        for scale in (Scale.INHOMOG_BESOV, Scale.INHOMOG_RIESZ):
+            p = besov(2, "1/2", t(0, 4, 2), t(0, 2), t(1, 2), scale)
+            assert auto_check(p) == check_inhomogeneous(p)
+        assert auto_check(p).status is Status.HOLDS
+
+    def test_unknown_rule_rejected(self):
+        p = besov(2, "1/2", t(0, 4), t(0, 2), t(1, 2))
+        with pytest.raises(ValueError, match="unknown rule 'sobolev'"):
+            check_by_rule(p, "sobolev")
 
 
 class TestSerialization:

@@ -460,6 +460,44 @@ class TestMinimizeCommand:
         trace = (tmp_path / "run.trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,energy"
 
+    def test_collapse_exits_3(self, tmp_path):
+        """s = 3/4 < (n - beta)/2: from the default Gaussian the descent
+        collapses and raises, which the CLI reports as a numerical failure."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "grid": {"n": 3, "points_per_dim": 32, "box_length": 16.0},
+            "params": {"s": "3/4", "m2": "1/2", "beta": "1/2"},
+            "masses": [1.0],
+            "options": {"tol": 1e-10},
+        }))
+        proc = run_cli(["minimize", "--config", str(path)])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("gnlab: numerical failure: line search failed at iteration")
+        assert proc.stdout == ""
+
+    def test_initial_from_gaussian_files(self, tmp_path):
+        """initial names one GNF file per mass.  Files that `gnlab gaussian`
+        wrote with the default start's width L/8 give the default run."""
+        files = [str(tmp_path / f"start{i}.gnf") for i in range(2)]
+        for path in files:
+            proc = run_cli(["gaussian", "--n", "2", "--points", "32", "--box-length", "12",
+                            "--width", "3/2", "--output", path])
+            assert proc.returncode == 0, proc.stderr
+        cfg = {
+            "grid": {"n": 2, "points_per_dim": 32, "box_length": 12.0},
+            "params": {"s": 1, "m2": "1/2", "beta": 1, "G": "product_powers:1,1"},
+            "masses": [1.0, 0.5],
+            "options": {"max_iters": 20, "tol": 1e-12},
+        }
+        runs = []
+        for initial in (None, files):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(dict(cfg, initial=initial) if initial else cfg))
+            runs.append(run_cli(["minimize", "--config", str(path)]))
+        assert runs[0].returncode in (0, 3), runs[0].stderr
+        assert json.loads(runs[1].stdout)["iterations"] > 1
+        assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
     def test_unknown_config_keys_exit_2(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": {}, "params": {}, "masses": [], "bogus": 1}))

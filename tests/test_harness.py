@@ -13,8 +13,10 @@ from gnlab.harness import (
     gn_ratio,
     growth_experiment,
     fit_slope,
+    space_norm_spec,
     transpose_to_1d,
 )
+from gnlab.norms import NormFamily, NormSpec
 from gnlab.regression import (
     BlowupCase,
     eps_blowup_case,
@@ -69,6 +71,17 @@ class TestGnRatio:
         for m in (1, 2):
             r = gn_ratio(dilate(f, m), p)
             assert r / r0 == pytest.approx(2.0 ** (-m * residual), rel=5e-2)
+
+
+@pytest.mark.parametrize("scale,triple,spec", [
+    (Scale.INHOMOG_BESOV, t("1/2", 4, 2), NormSpec(NormFamily.INHOMOG_BESOV, 0.5, 4.0, 2.0, shell_range=(1, 5))),
+    (Scale.INHOMOG_RIESZ, t(0, 4), NormSpec(NormFamily.LEBESGUE, 0.0, 4.0)),
+    (Scale.INHOMOG_RIESZ, t("1/2", 4), NormSpec(NormFamily.BESSEL_SOBOLEV, 0.5, 4.0, m2=1.0)),
+], ids=["inhomog-besov", "inhomog-riesz-lebesgue", "inhomog-riesz-bessel"])
+def test_space_norm_spec_inhomogeneous(scale, triple, spec):
+    """InhomogBesov keeps the shell range; InhomogRiesz reads Lebesgue at
+    s = 0 and the Bessel potential with m^2 = 1 otherwise."""
+    assert space_norm_spec(scale, triple, (1, 5)) == spec
 
 
 class TestGrowthExperiments:

@@ -665,6 +665,34 @@ class TestMinimize:
         opts = MinimizeOptions(max_iters=5.0, tol=0)
         assert (type(opts.max_iters), opts.max_iters, type(opts.tol), opts.tol) == (int, 5, float, 0.0)
 
+    def test_collapse_raises(self):
+        """s = 3/4 lies below (n - beta)/2 = 5/4, so the energy is unbounded
+        below (MinusInfinity).  The descent follows the concentration until
+        no step lowers the energy, far from a stationary point, and raises."""
+        grid = make_grid(3, 32, 16.0)
+        assert regime_classify(3, 0.5, 0.75, 0.5, 1.0, 1.0, sum_squares()).regime is Regime.MINUS_INFINITY
+        params = EnergyParams(s=0.75, m2=0.5, beta=0.5, G=sum_squares())
+        with pytest.raises(DivergenceError, match="line search failed at iteration"):
+            minimize(single(grid, 2.0), params, MinimizeOptions(tol=1e-10))
+
+    def test_exhausted_line_search_at_a_stationary_point(self, monkeypatch):
+        """With an infinite Armijo constant no step is accepted.  A start
+        whose tangent gradient lies below 1e-8 max(1, |E|) then stops as
+        converged, and a start far from stationary raises."""
+        monkeypatch.setattr(variational, "ARMIJO", math.inf)
+        grid = make_grid(1, 64, 8.0)
+        params = EnergyParams(s=1.0, m2=1.0, beta=0.5, G=sum_squares())
+        wave = np.cos(2.0 * math.pi * grid.axis_coords() / 8.0)
+
+        def start(eps):
+            return MultiField((Field(grid, Domain.PHYSICAL, 1.0 + eps * wave),), (1.0,))
+
+        res = minimize(start(1e-12), params, MinimizeOptions(max_iters=5))
+        assert (res.converged, res.iterations) == (True, 1)
+        assert res.message == "line search exhausted at a stationary point"
+        with pytest.raises(DivergenceError, match="line search failed at iteration 1"):
+            minimize(start(1e-3), params, MinimizeOptions(max_iters=5))
+
     def test_nan_detected(self):
         grid = make_grid(1, 64, 8.0)
         params = EnergyParams(s=1.0, m2=0.0, beta=0.5, G=sum_squares())
@@ -798,6 +826,27 @@ class TestCStar:
             est = estimate_cstar(3, 2.0, grid, max_iters=30, seeds=seeds)
             assert est.starts == 3 + len(seeds)
 
+    def test_repeated_width_climbs_once(self, monkeypatch):
+        """On 16^3 with box 16 the widths L/8, L/12 and L/20 all floor at
+        2 h = 2: the Gaussian climbs once, not three times, with the value
+        and argmax of climbing all five starts, and starts still counts 5."""
+        grid = make_grid(3, 16, 16.0)
+        ascend = variational._ascend
+        climbs = []
+
+        def recorded(grid, params, starts, max_iters):
+            climbs.append(len(starts))
+            return ascend(grid, params, starts, max_iters)
+
+        monkeypatch.setattr(variational, "_ascend", recorded)
+        est = estimate_cstar(3, 1.0, grid, seeds=(1, 2))
+        assert (climbs, est.starts) == ([3], 5)
+        gauss = np.exp(-grid.coord_radius2() / 8.0)
+        every = [gauss] * 3 + [positive_random_field(grid, seed).data.real for seed in (1, 2)]
+        value, arr = ascend(grid, _critical(3, 1.0), every, 200)
+        assert est.value == value
+        assert np.array_equal(est.argmax.data.real, arr)
+
     def test_coarse_stage_from_32_points(self):
         """From 32 points per axis the starts climb on the m/2 grid and the
         best coarse argmax climbs once on the caller's grid; below that every
@@ -884,6 +933,16 @@ class TestRegimes:
     def test_product_growth_violation(self):
         rep = regime_classify(3, 1.0, 0.5, 0.0, 1.0, 1.0, ProductPowers((3.0,)))
         assert rep.regime is Regime.MINUS_INFINITY
+
+    @pytest.mark.parametrize("n,beta,s,alphas,regime,case", [
+        (3, 1.0, 1.5, (1.0, 1.0), Regime.MINIMIZER_EXISTS, "supercritical-smoothness"),
+        (3, 1.0, 1.0, (1.0, 0.5), Regime.OUT_OF_SCOPE, "borderline-growth"),  # s = (n - beta)/2
+        (1, 0.5, 1.0, (2.0, 1.5), Regime.OUT_OF_SCOPE, "borderline-growth"),  # zero growth margin
+        (3, 1.0, 0.5, (0.5, 0.5), Regime.MINUS_INFINITY, "subcritical-smoothness"),
+    ])
+    def test_product_cases(self, n, beta, s, alphas, regime, case):
+        rep = regime_classify(n, beta, s, 0.0, 1.0, 1.0, ProductPowers(alphas))
+        assert (rep.regime, rep.case) == (regime, case)
 
     def test_critical_decided_exactly(self):
         """n=3, beta=2.2, s=0.4 is critical: s == (n-beta)/2 holds for 11/5
